@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: verify build vet test race fuzz-smoke bench bench-fft bench-kernel bench-insitu bench-overlap bench-scaling bench-record bench-compare smoke-restart smoke-serve smoke-chaos
+.PHONY: verify build vet test race fuzz-smoke bench bench-fft bench-kernel bench-insitu bench-overlap bench-scaling smoke-restart smoke-serve smoke-chaos
 
 # verify is the tier-1 gate: full build, vet, tests, plus a short race pass
 # over the packages where ranks-as-goroutines concurrency lives.
@@ -56,35 +56,23 @@ bench-fft:
 	$(GO) test -run NONE -bench 'Solve(64|128)' -benchmem ./internal/mesh/
 	$(GO) test -run NONE -bench 'PencilVsSlabFFT|Fig5RelayVsNaive' -benchmem .
 
-# bench-kernel: the PP force-kernel throughput ladder — scalar and unrolled
-# float64, scalar and SIMD-batched float32 — in Gflops at the 51-op ledger.
-# BenchmarkKernelGflops also feeds bench-record/bench-compare, so a >10%
-# kernel regression fails the comparison gate.
+# bench-kernel: the PP force-kernel throughput ladder — the scalar float64
+# oracle, scalar and SIMD-batched float32 — in Gflops at the 51-op ledger.
 bench-kernel:
 	$(GO) test -run NONE -bench 'KernelGflops' -benchmem .
 
-# bench-record: run the canonical kernel/solve/exchange/checkpoint
-# benchmarks and persist them as bench_records/BENCH_<timestamp>.json;
-# bench-compare diffs the two newest records and fails on a >10% regression
-# in any cost metric (ns/op, B/op, allocs/op, byte ledgers).
-# bench-overlap: the overlapped step pipeline before/after — one warm 64³
-# step on 8 ranks with the PM solve sequential vs hidden behind the tree walk
-# (rank0-step-s is the wall-clock evidence, hidden-s the covered PM share).
+# bench-overlap: one warm 64³ step on 8 ranks with the PM solve hidden behind
+# the tree walk (rank0-step-s is the step wall, hidden-s the covered PM
+# share). The performance gate is `go run ./bench`, not these micro-benches.
 bench-overlap:
 	$(GO) test -run NONE -bench 'StepOverlap64' -benchmem .
 
 # bench-insitu: the in-situ analysis plane — the distributed FoF end to end
 # on the 64³/8-rank clustered bench case, and the marginal per-mode cost of
-# the on-the-fly P(k) tap on a 128³ mesh. Both feed bench-record.
+# the on-the-fly P(k) tap on a 128³ mesh.
 bench-insitu:
 	$(GO) test -run NONE -bench 'DistFoF64$$' -benchmem ./internal/analysis/dist/
 	$(GO) test -run NONE -bench 'InSituPk128$$' -benchmem ./internal/analysis/
-
-bench-record:
-	./scripts/bench_record.sh
-
-bench-compare:
-	$(GO) run ./cmd/benchrecord compare -dir bench_records
 
 # bench-scaling: intra-rank worker-pool strong scaling of the 128³ PM solve
 # (assignment + r2c FFT + convolution + differencing) at 1/2/4/8 workers.

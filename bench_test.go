@@ -102,7 +102,7 @@ func BenchmarkTableIScaledStep(b *testing.B) {
 		parts[i] = sim.Particle{X: x[i], Y: y[i], Z: z[i], M: m[i], ID: int64(i)}
 	}
 	cfg := sim.Config{
-		L: 1, G: 1, NMesh: 32, Theta: 0.5, Ni: 100, Eps2: 1e-8, FastKernel: true,
+		L: 1, G: 1, NMesh: 32, Theta: 0.5, Ni: 100, Eps2: 1e-8,
 		Grid: [3]int{2, 2, 2}, DT: 0.005,
 	}
 	b.ResetTimer()
@@ -128,14 +128,13 @@ func BenchmarkTableIScaledStep(b *testing.B) {
 	}
 }
 
-// --- §II-B ghost exchange: raw particle-ghosts vs the locally-essential tree ---
+// --- §II-B ghost exchange: the locally-essential tree ---
 
 // benchGhostExchange steps a clustered 64³ system on 8 ranks once per
 // iteration and reports the ghost-alltoall traffic (from the labelled mpi
-// ledger) plus rank 0's exchange wall-clock, for one exchange mode. The
-// before/after pair is the evidence that the LET walk shrinks the PP
-// boundary traffic (EXPERIMENTS.md records a harvested run).
-func benchGhostExchange(b *testing.B, let bool) {
+// ledger) plus rank 0's exchange wall-clock. EXPERIMENTS.md records the
+// harvested pair against the raw particle-ghost exchange this replaced.
+func benchGhostExchange(b *testing.B) {
 	const np = 64
 	x, y, z, m := clusteredSet(21, np*np*np)
 	parts := make([]sim.Particle, len(x))
@@ -143,8 +142,8 @@ func benchGhostExchange(b *testing.B, let bool) {
 		parts[i] = sim.Particle{X: x[i], Y: y[i], Z: z[i], M: m[i], ID: int64(i)}
 	}
 	cfg := sim.Config{
-		L: 1, G: 1, NMesh: 64, Theta: 0.5, Ni: 100, Eps2: 1e-8, FastKernel: true,
-		Grid: [3]int{2, 2, 2}, DT: 0.005, LETExchange: let, DeterministicCost: true,
+		L: 1, G: 1, NMesh: 64, Theta: 0.5, Ni: 100, Eps2: 1e-8,
+		Grid: [3]int{2, 2, 2}, DT: 0.005, DeterministicCost: true,
 	}
 	var ghostOps mpi.OpTotals
 	var sent, commS, letS float64
@@ -191,20 +190,17 @@ func benchGhostExchange(b *testing.B, let bool) {
 	b.ReportMetric(letS, "rank0-letwalk-s")
 }
 
-func BenchmarkGhostExchange64(b *testing.B) {
-	b.Run("raw", func(b *testing.B) { benchGhostExchange(b, false) })
-	b.Run("let", func(b *testing.B) { benchGhostExchange(b, true) })
-}
+func BenchmarkGhostExchange64(b *testing.B) { b.Run("let", benchGhostExchange) }
 
-// --- overlapped step pipeline: sequential vs PM solve hidden behind PP ---
+// --- overlapped step pipeline: PM solve hidden behind PP ---
 
 // benchStepOverlap times one warm full step of a clustered 64³ system on 8
-// ranks with the overlapped PM‖PP pipeline on or off. The first step warms
-// the builder arenas, worker pools and the dup-comm solve goroutine; the
-// second step is the steady state the metric reports. rank0-step-s is the
-// before/after evidence for the overlap (EXPERIMENTS.md records a harvested
-// pair); hidden-s is the PM solve wall-clock that cost no critical path.
-func benchStepOverlap(b *testing.B, overlap bool) {
+// ranks. The first step warms the builder arenas, worker pools and the
+// dup-comm solve goroutine; the second step is the steady state the metric
+// reports. rank0-step-s is the step wall (EXPERIMENTS.md records the
+// harvested pair against the sequential step order); hidden-s is the PM
+// solve wall-clock that cost no critical path.
+func benchStepOverlap(b *testing.B) {
 	const np = 64
 	x, y, z, m := clusteredSet(21, np*np*np)
 	parts := make([]sim.Particle, len(x))
@@ -213,9 +209,7 @@ func benchStepOverlap(b *testing.B, overlap bool) {
 	}
 	cfg := sim.Config{
 		L: 1, G: 1, NMesh: 64, Theta: 0.5, Ni: 100, Eps2: 1e-8,
-		FastKernel: true, Float32Kernel: true,
-		Grid: [3]int{2, 2, 2}, DT: 0.005, LETExchange: true, DeterministicCost: true,
-		OverlapPMPP: overlap,
+		Grid: [3]int{2, 2, 2}, DT: 0.005, DeterministicCost: true,
 	}
 	var stepS, hiddenS, windowS, pmSolveS float64
 	b.ResetTimer()
@@ -262,10 +256,7 @@ func benchStepOverlap(b *testing.B, overlap bool) {
 	b.ReportMetric(pmSolveS, "pm-commfft-s")
 }
 
-func BenchmarkStepOverlap64(b *testing.B) {
-	b.Run("seq", func(b *testing.B) { benchStepOverlap(b, false) })
-	b.Run("overlap", func(b *testing.B) { benchStepOverlap(b, true) })
-}
+func BenchmarkStepOverlap64(b *testing.B) { b.Run("overlap", benchStepOverlap) }
 
 // --- Fig. 1 ---
 
@@ -281,7 +272,7 @@ func BenchmarkFig1TreeInteractions(b *testing.B) {
 	var st tree.Stats
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		st = tree.Accel(tr, tr, 64, tree.ForceOpts{G: 1, Theta: 0.5, Eps2: 1e-8, FastKernel: true}, ax, ay, az)
+		st = tree.Accel(tr, tr, 64, tree.ForceOpts{G: 1, Theta: 0.5, Eps2: 1e-8}, ax, ay, az)
 	}
 	b.ReportMetric(float64(st.ListParticles), "particle-entries")
 	b.ReportMetric(float64(st.ListNodes), "multipole-entries")
@@ -328,7 +319,7 @@ func BenchmarkFig2TreePMShortRange(b *testing.B) {
 					b.Fatal(err)
 				}
 				st = tree.Accel(tr, tr, 100, tree.ForceOpts{
-					G: 1, Theta: 0.5, Eps2: 1e-8, Cutoff: true, Rcut: 3.0 / 16, Periodic: true, L: 1, FastKernel: true,
+					G: 1, Theta: 0.5, Eps2: 1e-8, Cutoff: true, Rcut: 3.0 / 16, Periodic: true, L: 1,
 				}, ax, ay, az)
 			}
 			b.ReportMetric(float64(st.Interactions), "interactions")
@@ -359,7 +350,7 @@ func BenchmarkFig3LoadBalance(b *testing.B) {
 
 // --- Fig. 5 / §II-B relay mesh ---
 
-func benchPMCycle(b *testing.B, relay bool, groups int, complexFFT bool) {
+func benchPMCycle(b *testing.B, relay bool, groups int) {
 	x, y, z, m := uniformSet(5, 4096)
 	geo := domain.Uniform(4, 2, 2, 1)
 	owner := make([][]int, 16)
@@ -367,7 +358,7 @@ func benchPMCycle(b *testing.B, relay bool, groups int, complexFFT bool) {
 		r := geo.Find(vec.V3{X: x[i], Y: y[i], Z: z[i]})
 		owner[r] = append(owner[r], i)
 	}
-	cfg := pmpar.Config{N: 32, L: 1, G: 1, Rcut: 3.0 / 32, NFFT: 8, Relay: relay, Groups: groups, ComplexFFT: complexFFT}
+	cfg := pmpar.Config{N: 32, L: 1, G: 1, Rcut: 3.0 / 32, NFFT: 8, Relay: relay, Groups: groups}
 	var modeled float64
 	var a2aBytes int64
 	machine := perfmodel.KComputer()
@@ -409,12 +400,8 @@ func benchPMCycle(b *testing.B, relay bool, groups int, complexFFT bool) {
 }
 
 func BenchmarkFig5RelayVsNaive(b *testing.B) {
-	b.Run("naive", func(b *testing.B) { benchPMCycle(b, false, 1, false) })
-	b.Run("relay2", func(b *testing.B) { benchPMCycle(b, true, 2, false) })
-	// Complex-FFT reference paths: the before side of the r2c before/after
-	// (identical conversions, full-spectrum transposes).
-	b.Run("naive-complexfft", func(b *testing.B) { benchPMCycle(b, false, 1, true) })
-	b.Run("relay2-complexfft", func(b *testing.B) { benchPMCycle(b, true, 2, true) })
+	b.Run("naive", func(b *testing.B) { benchPMCycle(b, false, 1) })
+	b.Run("relay2", func(b *testing.B) { benchPMCycle(b, true, 2) })
 }
 
 // BenchmarkRelayPaperScaleModel evaluates the analytic §II-B model at the
@@ -451,7 +438,7 @@ func BenchmarkFig6CosmologyStep(b *testing.B) {
 		b.Fatal(err)
 	}
 	cfg := sim.Config{
-		L: l, G: 1, NMesh: 32, Theta: 0.5, Ni: 64, Eps2: 1e-8, FastKernel: true,
+		L: l, G: 1, NMesh: 32, Theta: 0.5, Ni: 64, Eps2: 1e-8,
 		Grid: [3]int{2, 2, 1}, DT: aInit / 4, Stepper: model, Time: aInit,
 	}
 	b.ResetTimer()
@@ -512,24 +499,22 @@ func BenchmarkKernelGflops(b *testing.B) {
 		f    func() uint64
 	}{
 		{"scalar", func() uint64 { return ppkern.AccelCutoff(xi, yi, zi, src, 1, 0.4, 1e-10, ax, ay, az) }},
-		{"unrolled", func() uint64 { return ppkern.AccelCutoffFast(xi, yi, zi, src, 1, 0.4, 1e-10, ax, ay, az) }},
-		{"phantom-rsqrt", func() uint64 { return ppkern.AccelCutoffPhantom(xi, yi, zi, src, 1, 0.4, 1e-10, ax, ay, az) }},
 		{"f32-scalar", func() uint64 { return ppkern.AccelCutoffF32(xi32, yi32, zi32, src32, 1, 0.4, 1e-10, ax, ay, az) }},
 		{"f32", func() uint64 { return ppkern.AccelCutoffF32Fast(xi32, yi32, zi32, src32, 1, 0.4, 1e-10, ax, ay, az) }},
 	}
 	// The instrumented variant bounds the telemetry cost on the hot path:
 	// one span (two clock reads) plus one flop-counter add per kernel call,
 	// exactly what the simulation records around the tree walk. Acceptance:
-	// within 2% of the bare unrolled variant.
+	// within 2% of the bare f32 variant.
 	rec := telemetry.NewRecorder(0, nil)
 	flops := rec.Registry().FlopCounter("bench_flops_total")
 	id := rec.PhaseID(telemetry.PhasePPForce)
 	variants = append(variants, struct {
 		name string
 		f    func() uint64
-	}{"unrolled+telemetry", func() uint64 {
+	}{"f32+telemetry", func() uint64 {
 		sp := rec.StartID(id)
-		n := ppkern.AccelCutoffFast(xi, yi, zi, src, 1, 0.4, 1e-10, ax, ay, az)
+		n := ppkern.AccelCutoffF32Fast(xi32, yi32, zi32, src32, 1, 0.4, 1e-10, ax, ay, az)
 		sp.End()
 		flops.AddUint(n * uint64(ppkern.FlopsPerInteraction))
 		return n
@@ -561,7 +546,7 @@ func BenchmarkNiSweep(b *testing.B) {
 	ax := make([]float64, len(x))
 	ay := make([]float64, len(x))
 	az := make([]float64, len(x))
-	opt := tree.ForceOpts{G: 1, Theta: 0.5, Eps2: 1e-8, Cutoff: true, Rcut: 0.15, Periodic: true, L: 1, FastKernel: true}
+	opt := tree.ForceOpts{G: 1, Theta: 0.5, Eps2: 1e-8, Cutoff: true, Rcut: 0.15, Periodic: true, L: 1}
 	for _, ni := range []int{1, 8, 32, 100, 500} {
 		b.Run(map[bool]string{true: "ni"}[true]+itoa(ni), func(b *testing.B) {
 			var st tree.Stats
@@ -650,7 +635,7 @@ func BenchmarkPureTreeVsTreePM(b *testing.B) {
 		var st tree.Stats
 		for i := 0; i < b.N; i++ {
 			st = tree.Accel(tr, tr, 100, tree.ForceOpts{
-				G: 1, Theta: 0.5, Eps2: 1e-9, Cutoff: true, Rcut: 3.0 / 32, Periodic: true, L: 1, FastKernel: true,
+				G: 1, Theta: 0.5, Eps2: 1e-9, Cutoff: true, Rcut: 3.0 / 32, Periodic: true, L: 1,
 			}, ax, ay, az)
 		}
 		b.ReportMetric(st.MeanNj(), "mean-Nj")

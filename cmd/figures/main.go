@@ -140,7 +140,7 @@ func fig2() {
 		} else {
 			x, y, z, m = uniform(rng, c.n)
 		}
-		s, err := treepm.New(treepm.Config{L: 1, G: 1, NMesh: 16, Ni: 100, Eps2: 1e-8, FastKernel: true})
+		s, err := treepm.New(treepm.Config{L: 1, G: 1, NMesh: 16, Ni: 100, Eps2: 1e-8})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -266,7 +266,7 @@ func figNi() {
 	ax := make([]float64, n)
 	ay := make([]float64, n)
 	az := make([]float64, n)
-	opt := tree.ForceOpts{G: 1, Theta: 0.5, Eps2: 1e-8, Cutoff: true, Rcut: 0.15, Periodic: true, L: 1, FastKernel: true}
+	opt := tree.ForceOpts{G: 1, Theta: 0.5, Eps2: 1e-8, Cutoff: true, Rcut: 0.15, Periodic: true, L: 1}
 	fmt.Println("⟨Ni⟩ sweep — traversal cost falls, kernel cost rises (paper: optimum ≈100 on K)")
 	fmt.Printf("%-8s %10s %10s %12s %14s %12s\n", "Ni cap", "⟨Ni⟩", "⟨Nj⟩", "visits", "interactions", "time")
 	for _, ni := range []int{1, 8, 32, 100, 500, 2000} {
@@ -302,7 +302,7 @@ func figNj() {
 	pure := tree.AccelPeriodicTree(tr, tr, 100, tree.ForceOpts{G: 1, Theta: 0.5, Eps2: 1e-9, L: 1}, tab, ax, ay, az)
 	fmt.Printf("%-28s %10.0f %14d %12v\n", "pure tree + Ewald table", pure.MeanNj(), pure.Interactions, time.Since(t0).Round(time.Millisecond))
 	t1 := time.Now()
-	cut := tree.Accel(tr, tr, 100, tree.ForceOpts{G: 1, Theta: 0.5, Eps2: 1e-9, Cutoff: true, Rcut: 3.0 / 32, Periodic: true, L: 1, FastKernel: true}, ax, ay, az)
+	cut := tree.Accel(tr, tr, 100, tree.ForceOpts{G: 1, Theta: 0.5, Eps2: 1e-9, Cutoff: true, Rcut: 3.0 / 32, Periodic: true, L: 1}, ax, ay, az)
 	fmt.Printf("%-28s %10.0f %14d %12v\n", "TreePM short-range (rcut=3h)", cut.MeanNj(), cut.Interactions, time.Since(t1).Round(time.Millisecond))
 	fmt.Printf("\nlist-length ratio %.1f (grows ~log N: ≈6 at the paper's 10¹² particles, §III-B);\n", pure.MeanNj()/cut.MeanNj())
 	fmt.Println("the TreePM walk also tolerates a larger θ at equal total accuracy (§I).")

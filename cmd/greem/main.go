@@ -61,9 +61,6 @@ func main() {
 	lpt2 := flag.Bool("2lpt", false, "second-order (2LPT) initial conditions")
 	nfft := flag.Int("nfft", 0, "FFT processes (0 = min(ranks, mesh))")
 	theta := flag.Float64("theta", 0.5, "tree opening angle")
-	let := flag.Bool("let", true, "locally-essential-tree ghost exchange (false = raw particle-ghost baseline)")
-	overlap := flag.Bool("overlap", true, "overlapped PM‖PP step pipeline: run the PM solve behind the tree walk (false = sequential)")
-	f32 := flag.Bool("f32", true, "float32 PP kernel on group-relative batches (false = float64 oracle kernel)")
 	ni := flag.Int("ni", 100, "Barnes group size cap")
 	outDir := flag.String("out", "out", "output directory")
 	resume := flag.String("resume", "", "resume from a snapshot file or a checkpoint directory")
@@ -137,9 +134,8 @@ func main() {
 	cfg := greem.SimConfig{
 		L: l, G: g, NMesh: mesh, NFFT: *nfft, Relay: *relay, Groups: *groups,
 		Pencil: *pencil, PY: *py, PZ: *pz, Workers: *workers,
-		Theta: *theta, Ni: *ni, Eps2: 1e-8, FastKernel: true, Float32Kernel: *f32, LETExchange: *let,
-		OverlapPMPP: *overlap,
-		Grid:        grid, DT: (aEnd - aStart) / float64(*steps), Stepper: model, Time: aStart,
+		Theta: *theta, Ni: *ni, Eps2: 1e-8,
+		Grid: grid, DT: (aEnd - aStart) / float64(*steps), Stepper: model, Time: aStart,
 		DeterministicCost: *deterministic,
 	}
 	if *insituEvery > 0 {
@@ -385,10 +381,9 @@ func printTimers(s *sim.Sim, steps int, inter, ni, nj float64) {
 		float64(gs.Monopoles)*per, float64(gs.Leaves)*per)
 	fmt.Printf("  DD: position %.4fs, sampling %.4fs, exchange %.4fs\n",
 		t.DDPosUpdate*per, t.DDSampling*per, t.DDExchange*per)
-	if ov := s.OverlapStats(); ov.LastWindowSeconds > 0 {
-		fmt.Printf("  overlap: PM solve hidden %.4fs/step, last window critical path %.4fs\n",
-			ov.HiddenSeconds*per, ov.LastWindowSeconds)
-	}
+	ov := s.OverlapStats()
+	fmt.Printf("  overlap: PM solve hidden %.4fs/step, last window critical path %.4fs\n",
+		ov.HiddenSeconds*per, ov.LastWindowSeconds)
 	fmt.Printf("  interactions/step %.3g, ⟨Ni⟩ = %.0f, ⟨Nj⟩ = %.0f\n", inter, ni, nj)
 }
 

@@ -1,7 +1,10 @@
 // kernelbench reproduces §II-A's kernel experiment: a pure O(N²) benchmark
 // of the particle-particle force loop. It reports the measured throughput of
-// each kernel variant (interactions/s and effective Gflops at the paper's
-// 51-op count) and the K computer model figures the paper quotes — the
+// the scalar float64 oracle, the plain Newtonian loop, and the float32 family
+// — scalar (math.Sqrt) against the SIMD batch kernel with the approximate
+// rsqrt seed + third-order refinement, the §II-A ablation — as interactions/s
+// and effective Gflops at the paper's 51-op count, and the K computer model
+// figures the paper quotes — the
 // 12 Gflops/core ceiling implied by the 17 FMA + 17 non-FMA instruction mix
 // and the 11.65 Gflops (97%) the tuned loop reaches.
 //
@@ -56,11 +59,8 @@ func main() {
 	}
 
 	fmt.Printf("O(N²) kernel benchmark: %d × %d interactions, %d reps\n\n", *ni, *nj, *reps)
-	bench("scalar (math.Sqrt)", func() uint64 {
+	bench("float64 scalar (oracle)", func() uint64 {
 		return ppkern.AccelCutoff(xi, yi, zi, src, 1, rcut, eps2, ax, ay, az)
-	})
-	bench("unrolled + fast rsqrt", func() uint64 {
-		return ppkern.AccelCutoffFast(xi, yi, zi, src, 1, rcut, eps2, ax, ay, az)
 	})
 	bench("plain Newtonian (no cutoff)", func() uint64 {
 		return ppkern.AccelPlain(xi, yi, zi, src, 1, eps2, ax, ay, az)
@@ -78,10 +78,10 @@ func main() {
 	for i := range xi {
 		xi32[i], yi32[i], zi32[i] = float32(xi[i]), float32(yi[i]), float32(zi[i])
 	}
-	bench("float32 scalar", func() uint64 {
+	bench("float32 scalar (math.Sqrt)", func() uint64 {
 		return ppkern.AccelCutoffF32(xi32, yi32, zi32, src32, 1, rcut, eps2, ax, ay, az)
 	})
-	bench("float32 batched (SIMD)", func() uint64 {
+	bench("float32 SIMD (seed+refine)", func() uint64 {
 		return ppkern.AccelCutoffF32Fast(xi32, yi32, zi32, src32, 1, rcut, eps2, ax, ay, az)
 	})
 

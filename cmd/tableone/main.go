@@ -26,9 +26,6 @@ func main() {
 	ranks := flag.Int("ranks", 8, "ranks for the scaled run")
 	steps := flag.Int("steps", 2, "steps for the scaled run")
 	workers := flag.Int("workers", 0, "intra-rank workers for the scaled run (0 = serial, -1 = auto)")
-	let := flag.Bool("let", true, "locally-essential-tree ghost exchange for the scaled run (false = raw baseline)")
-	f32 := flag.Bool("f32", true, "float32 PP kernel for the scaled run (false = float64 oracle kernel)")
-	overlap := flag.Bool("overlap", true, "overlapped PM‖PP step pipeline for the scaled run (false = sequential)")
 	insituEvery := flag.Int("insitu-every", 0, "in-situ analysis cadence for the scaled run: FoF + P(k) + projection every k steps (0 = off); the analysis/* phase rows appear when on")
 	flag.Parse()
 
@@ -77,7 +74,7 @@ func main() {
 		fmt.Println("\n(use -run for a scaled-down measured breakdown on this machine)")
 		return
 	}
-	scaledRun(*np, *ranks, *steps, *workers, *let, *f32, *overlap, *insituEvery)
+	scaledRun(*np, *ranks, *steps, *workers, *insituEvery)
 }
 
 // tableRows maps Table I's row labels onto the telemetry phase names; the
@@ -110,21 +107,9 @@ var tableRows = []struct {
 // within-rank max/mean worker imbalance (busy+idle)/busy from the pool
 // telemetry — is appended to the phase rows that batch over it; the serial
 // default prints exactly the historical table.
-func scaledRun(np, ranks, steps, workers int, let, f32, overlap bool, insituEvery int) {
-	mode := "LET"
-	if !let {
-		mode = "raw-ghost"
-	}
-	kern := "float32"
-	if !f32 {
-		kern = "float64"
-	}
-	pipe := "overlapped"
-	if !overlap {
-		pipe = "sequential"
-	}
-	fmt.Printf("\nScaled measured run: %d³ particles on %d ranks, %d steps, %s exchange, %s kernel, %s PM‖PP\n",
-		np, ranks, steps, mode, kern, pipe)
+func scaledRun(np, ranks, steps, workers, insituEvery int) {
+	fmt.Printf("\nScaled measured run: %d³ particles on %d ranks, %d steps, LET exchange, float32 kernel, overlapped PM‖PP\n",
+		np, ranks, steps)
 	rng := rand.New(rand.NewSource(1))
 	n := np * np * np
 	parts := make([]sim.Particle, n)
@@ -144,9 +129,7 @@ func scaledRun(np, ranks, steps, workers int, let, f32, overlap bool, insituEver
 	}
 	cfg := sim.Config{
 		L: 1, G: 1, NMesh: 32, Theta: 0.5, Ni: 100, Eps2: 1e-8,
-		FastKernel: true, Float32Kernel: f32,
-		Grid: grid, DT: 0.01, Workers: workers, LETExchange: let,
-		OverlapPMPP: overlap,
+		Grid: grid, DT: 0.01, Workers: workers,
 		InSituEvery: insituEvery, InSituFinalStep: steps,
 	}
 	var prof *telemetry.Profile
@@ -218,27 +201,25 @@ func scaledRun(np, ranks, steps, workers int, let, f32, overlap bool, insituEver
 		}
 		fmt.Println()
 	}
-	if overlap {
-		// The overlapped pipeline's own rows: join wait is the un-hidden PM
-		// remainder on the critical path; the window is the whole overlapped
-		// density→{solve ‖ PP}→join section; hidden is the solve time that
-		// cost no wall-clock because the tree walk covered it.
-		for _, row := range []struct{ label, phase string }{
-			{"overlap join wait", telemetry.PhaseOverlapJoin},
-			{"overlap window (crit path)", telemetry.PhaseOverlapWindow},
-		} {
-			fmt.Printf("%-28s %10.4f %10.4f %10.4f %10.2f",
-				row.label, prof.Phase(row.phase).Min*per, prof.Phase(row.phase).Mean*per,
-				prof.Phase(row.phase).Max*per, prof.Phase(row.phase).Imbalance)
-			if intraActive {
-				fmt.Printf(" %10s", "-")
-			}
-			fmt.Println()
+	// The overlapped pipeline's own rows: join wait is the un-hidden PM
+	// remainder on the critical path; the window is the whole overlapped
+	// density→{solve ‖ PP}→join section; hidden is the solve time that
+	// cost no wall-clock because the tree walk covered it.
+	for _, row := range []struct{ label, phase string }{
+		{"overlap join wait", telemetry.PhaseOverlapJoin},
+		{"overlap window (crit path)", telemetry.PhaseOverlapWindow},
+	} {
+		fmt.Printf("%-28s %10.4f %10.4f %10.4f %10.2f",
+			row.label, prof.Phase(row.phase).Min*per, prof.Phase(row.phase).Mean*per,
+			prof.Phase(row.phase).Max*per, prof.Phase(row.phase).Imbalance)
+		if intraActive {
+			fmt.Printf(" %10s", "-")
 		}
-		hid := prof.Counter(telemetry.MetricOverlapHidden)
-		fmt.Printf("PM solve hidden by overlap: %.4f s/step mean-rank (%.4f max-rank)\n",
-			hid.Mean*per, hid.Max*per)
+		fmt.Println()
 	}
+	hid := prof.Counter(telemetry.MetricOverlapHidden)
+	fmt.Printf("PM solve hidden by overlap: %.4f s/step mean-rank (%.4f max-rank)\n",
+		hid.Mean*per, hid.Max*per)
 	if insituEvery > 0 {
 		for _, row := range []struct{ label, phase string }{
 			{"in-situ FoF", telemetry.PhaseAnalysisFoF},
@@ -254,7 +235,7 @@ func scaledRun(np, ranks, steps, workers int, let, f32, overlap bool, insituEver
 			fmt.Println()
 		}
 	}
-	fmt.Printf("\n⟨Ni⟩ = %.0f, ⟨Nj⟩ = %.0f, interactions/step = %.3g, PP kernel = %s\n", ni, nj, inter, kern)
+	fmt.Printf("\n⟨Ni⟩ = %.0f, ⟨Nj⟩ = %.0f, interactions/step = %.3g, PP kernel = float32\n", ni, nj, inter)
 	flops := prof.Counter(`greem_pp_kernel_flops_total`)
 	fmt.Printf("PP kernel flops/step (51-op ledger): %.3g total, %.3g max-rank\n",
 		flops.Sum*per, flops.Max*per)

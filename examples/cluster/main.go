@@ -53,7 +53,7 @@ func main() {
 	}
 
 	eps2 := math.Pow(0.02*a, 2)
-	opt := tree.ForceOpts{G: 1, Theta: 0.5, Eps2: eps2, FastKernel: true}
+	opt := tree.ForceOpts{G: 1, Theta: 0.5, Eps2: eps2}
 	ax := make([]float64, *n)
 	ay := make([]float64, *n)
 	az := make([]float64, *n)

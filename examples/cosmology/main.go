@@ -62,7 +62,7 @@ func main() {
 	}
 	cfg := greem.SimConfig{
 		L: l, G: g,
-		NMesh: nmesh, Theta: 0.5, Ni: 64, Eps2: 1e-8, FastKernel: true,
+		NMesh: nmesh, Theta: 0.5, Ni: 64, Eps2: 1e-8,
 		Grid: grid, DT: (aEnd - aStart) / float64(*steps),
 		Stepper: model, Time: aStart,
 	}

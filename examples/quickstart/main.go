@@ -31,7 +31,7 @@ func main() {
 
 	// The TreePM solver: tree below rcut = 3 mesh cells, PM above.
 	solver, err := greem.NewTreePM(greem.TreePMConfig{
-		L: l, G: g, NMesh: 32, Theta: 0.5, Ni: 100, Eps2: 1e-8, FastKernel: true,
+		L: l, G: g, NMesh: 32, Theta: 0.5, Ni: 100, Eps2: 1e-8,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -383,8 +383,8 @@ func validate(cfg Config, sc scanned, ranks int) error {
 	if m.Ranks != ranks {
 		return fmt.Errorf("written by %d ranks, resuming on %d", m.Ranks, ranks)
 	}
-	if m.ConfigHash != Fingerprint(cfg.Sim) {
-		return fmt.Errorf("config fingerprint %.12s… does not match this run's %.12s…", m.ConfigHash, Fingerprint(cfg.Sim))
+	if err := checkFingerprint(m.ConfigHash, cfg.Sim); err != nil {
+		return err
 	}
 	if len(m.Shards) != ranks {
 		return fmt.Errorf("manifest lists %d shards for %d ranks", len(m.Shards), ranks)

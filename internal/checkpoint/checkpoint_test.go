@@ -263,6 +263,33 @@ func TestFingerprintRefusesDifferentConfig(t *testing.T) {
 	}
 }
 
+// TestPreV4FingerprintRefusedByVersion: a manifest whose fingerprint predates
+// v4 (a bare hash, as every build up to PR 13 wrote — possibly integrated by
+// the float64 kernel, the raw ghost scan or the sequential step) is otherwise
+// intact, and must be skipped with a reason that names the fingerprint
+// version rather than resumed into the production pipeline.
+func TestPreV4FingerprintRefusedByVersion(t *testing.T) {
+	dir := t.TempDir()
+	ckCfg := Config{Dir: dir, Sim: testSimConfig()}
+	writeCheckpoints(t, ckCfg, 1, 1)
+	sc := scanManifests(ckCfg.withDefaults())[0]
+	sc.m.ConfigHash = strings.TrimPrefix(sc.m.ConfigHash, fingerprintVersion+":")
+	frame, _, err := encodeManifest(sc.m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(sc.dir, manifestName), frame, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	logf, logs := testLogf()
+	if _, _, err := Latest(Config{Dir: dir, Sim: testSimConfig(), Logf: logf}, 2); !errors.Is(err, ErrNoCheckpoint) {
+		t.Fatalf("pre-v4 manifest: err = %v, want ErrNoCheckpoint", err)
+	}
+	if !strings.Contains(logs(), "predates fingerprint v4") || !strings.Contains(logs(), "restart") {
+		t.Errorf("skip reason should name the fingerprint version and say restart, got: %s", logs())
+	}
+}
+
 func TestWrongRankCountRefused(t *testing.T) {
 	dir := t.TempDir()
 	ckCfg := Config{Dir: dir, Sim: testSimConfig()}

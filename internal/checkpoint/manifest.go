@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"strings"
 
 	"greem/internal/sim"
 )
@@ -91,6 +92,13 @@ func manifestHash(payload []byte) string {
 	return hex.EncodeToString(h[:])
 }
 
+// fingerprintVersion prefixes every Fingerprint, so a manifest written under
+// an older field set is told apart from a mere configuration mismatch. v4
+// dropped the kernel, ghost-exchange and step-order switches: sim has one
+// production pipeline, and a checkpoint from an earlier build may have been
+// integrated by a different kernel.
+const fingerprintVersion = "v4"
+
 // Fingerprint is the RNG-free configuration fingerprint stored in every
 // manifest: it covers exactly the sim.Config fields that shape the
 // trajectory, and deliberately excludes Workers (results are bit-identical
@@ -100,11 +108,25 @@ func manifestHash(payload []byte) string {
 // change the physics.
 func Fingerprint(cfg sim.Config) string {
 	s := fmt.Sprintf(
-		"v3 L=%v G=%v NMesh=%d NFFT=%d Relay=%v Groups=%d Pencil=%v PY=%d PZ=%d Rcut=%v Theta=%v Ni=%d Eps2=%v LeafCap=%d FastKernel=%v F32=%v LET=%v Grid=%v SampleTotal=%d SmoothSteps=%d DT=%v Substeps=%d DetCost=%v Stepper=%+v",
+		"L=%v G=%v NMesh=%d NFFT=%d Relay=%v Groups=%d Pencil=%v PY=%d PZ=%d Rcut=%v Theta=%v Ni=%d Eps2=%v LeafCap=%d Grid=%v SampleTotal=%d SmoothSteps=%d DT=%v Substeps=%d DetCost=%v Stepper=%+v",
 		cfg.L, cfg.G, cfg.NMesh, cfg.NFFT, cfg.Relay, cfg.Groups, cfg.Pencil, cfg.PY, cfg.PZ,
-		cfg.Rcut, cfg.Theta, cfg.Ni, cfg.Eps2, cfg.LeafCap, cfg.FastKernel, cfg.Float32Kernel, cfg.LETExchange, cfg.Grid,
+		cfg.Rcut, cfg.Theta, cfg.Ni, cfg.Eps2, cfg.LeafCap, cfg.Grid,
 		cfg.SampleTotal, cfg.SmoothSteps, cfg.DT, cfg.Substeps, cfg.DeterministicCost, cfg.Stepper,
 	)
 	h := sha256.Sum256([]byte(s))
-	return hex.EncodeToString(h[:])
+	return fingerprintVersion + ":" + hex.EncodeToString(h[:])
+}
+
+// checkFingerprint refuses a manifest whose configuration fingerprint is not
+// this run's, naming the fingerprint version when that is what differs
+// (hashes up to v3 carried no prefix).
+func checkFingerprint(got string, cfg sim.Config) error {
+	if !strings.HasPrefix(got, fingerprintVersion+":") {
+		return fmt.Errorf("config fingerprint %.12s… predates fingerprint %s (written by a build that could select another kernel, ghost exchange or step order): the run must restart, not resume",
+			got, fingerprintVersion)
+	}
+	if want := Fingerprint(cfg); got != want {
+		return fmt.Errorf("config fingerprint %.15s… does not match this run's %.15s…", got, want)
+	}
+	return nil
 }

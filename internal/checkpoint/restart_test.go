@@ -234,25 +234,19 @@ func TestCrashRestartBitIdentical(t *testing.T) {
 
 // TestCrashRestartOverlapJoin kills rank 1 at the overlapped pipeline's join
 // point — a PM solve in flight on the dup-comm background goroutine — and
-// requires the resumed run (which itself overlaps) to land bit-identically on
-// both the uninterrupted overlapped run and the uninterrupted sequential run:
-// the overlap knob must leave no footprint in the checkpoint contract.
+// requires the resumed run to land bit-identically on the uninterrupted one:
+// the in-flight solve must leave no footprint in the checkpoint contract.
 func TestCrashRestartOverlapJoin(t *testing.T) {
 	parts := makeParticles(23, 200, 0.05)
-	seq := restartConfig(1)
-	want := runToEnd(t, seq, parts)
+	cfg := restartConfig(1)
+	want := runToEnd(t, cfg, parts)
 
-	ovl := seq
-	ovl.OverlapPMPP = true
-	wantOvl := runToEnd(t, ovl, parts)
-	requireIdentical(t, want, wantOvl, "uninterrupted overlap vs sequential")
-
-	ckCfg := Config{Dir: t.TempDir(), Sim: ovl}
+	ckCfg := Config{Dir: t.TempDir(), Sim: cfg}
 	// Rank 1 dies at step 5's join with the solve in flight; checkpoints at
 	// steps 2 and 4 are committed, so the run resumes at 4 (and re-enters the
 	// overlapped pipeline on its first resumed step).
-	runUntilKilled(t, ovl, ckCfg, parts, killRank1AtOverlapJoin(4))
-	got := resumeToEnd(t, ovl, ckCfg, 4)
+	runUntilKilled(t, cfg, ckCfg, parts, killRank1AtOverlapJoin(4))
+	got := resumeToEnd(t, cfg, ckCfg, 4)
 	requireIdentical(t, want, got, "kill at overlap join")
 	if err := ValidateChain(ckCfg); err != nil {
 		t.Errorf("chain after resume: %v", err)

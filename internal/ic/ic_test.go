@@ -273,7 +273,7 @@ func TestPowerSpectrumGrowsAsDSquared(t *testing.T) {
 	p0 := measure(parts)
 
 	cfg := sim.Config{
-		L: l, G: g, NMesh: 32, Theta: 0.4, Ni: 64, Eps2: 1e-9, FastKernel: true,
+		L: l, G: g, NMesh: 32, Theta: 0.4, Ni: 64, Eps2: 1e-9,
 		Grid: [3]int{2, 1, 1}, DT: a0 / 8, Stepper: model, Time: a0,
 	}
 	var final []sim.Particle

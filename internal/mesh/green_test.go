@@ -66,6 +66,12 @@ func TestGreenTableCachesAcrossCalls(t *testing.T) {
 	}
 }
 
+// withComplexFFT keeps the Poisson solve on the full complex-to-complex
+// transform: twice the FFT arithmetic and spectral memory for identical (to
+// rounding) potentials. It is the r2c solve's oracle, and through the
+// *MatchesSerial tests of package pmpar the distributed solvers' too.
+func withComplexFFT() Option { return func(p *PM) { p.complexFFT = true } }
+
 // TestSolveRealMatchesComplex: the r2c half-spectrum solve must reproduce
 // the full complex reference path's potential and accelerations to rounding.
 func TestSolveRealMatchesComplex(t *testing.T) {
@@ -92,7 +98,7 @@ func TestSolveRealMatchesComplex(t *testing.T) {
 		return
 	}
 	rx, ry, rz := run()
-	cx, cy, cz := run(WithComplexFFT())
+	cx, cy, cz := run(withComplexFFT())
 	var scale float64
 	for i := range rx {
 		scale = math.Max(scale, math.Abs(cx[i])+math.Abs(cy[i])+math.Abs(cz[i]))
@@ -107,11 +113,11 @@ func TestSolveRealMatchesComplex(t *testing.T) {
 
 func BenchmarkSolve128Real(b *testing.B) { benchSolve(b, 128) }
 
-func BenchmarkSolve128Complex(b *testing.B) { benchSolve(b, 128, WithComplexFFT()) }
+func BenchmarkSolve128Complex(b *testing.B) { benchSolve(b, 128, withComplexFFT()) }
 
 func BenchmarkSolve64Real(b *testing.B) { benchSolve(b, 64) }
 
-func BenchmarkSolve64Complex(b *testing.B) { benchSolve(b, 64, WithComplexFFT()) }
+func BenchmarkSolve64Complex(b *testing.B) { benchSolve(b, 64, withComplexFFT()) }
 
 func benchSolve(b *testing.B, n int, opts ...Option) {
 	pm, err := New(n, 1, 1, 3.0/float64(n), opts...)

@@ -106,8 +106,9 @@ type PM struct {
 	// order is the assignment-window order: 3 = TSC (default, the paper's
 	// scheme, 27-point), 2 = CIC (8-point, the cheaper/noisier ablation).
 	order int
-	// complexFFT forces the full complex transform path (the pre-r2c
-	// reference implementation, kept for parity tests and benchmarks).
+	// complexFFT forces the full complex transform path — the solve's
+	// reference oracle, set only by in-package tests (withComplexFFT in
+	// green_test.go); it is also how the n == 1 degenerate mesh solves.
 	complexFFT bool
 
 	h     float64 // cell size l/n
@@ -165,12 +166,6 @@ func WithCIC() Option { return func(p *PM) { p.order = 2 } }
 // instead of one, but removes the differencing error at mesh-scale
 // wavelengths.
 func WithSpectralDifferentiation() Option { return func(p *PM) { p.spectral = true } }
-
-// WithComplexFFT keeps the Poisson solve on the full complex-to-complex
-// transform instead of the real-to-complex half-spectrum path. This is the
-// reference/ablation configuration: twice the FFT arithmetic and spectral
-// memory for identical (to rounding) potentials.
-func WithComplexFFT() Option { return func(p *PM) { p.complexFFT = true } }
 
 // WithWorkers sets the intra-rank worker count for every PM hot loop
 // (assignment, FFT lines, convolution, differencing, interpolation); the
@@ -437,8 +432,8 @@ func (pm *PM) convRowsComplex(w, lo, hi int) {
 	}
 }
 
-// solveComplex is the full complex-to-complex reference path (WithComplexFFT,
-// and the n == 1 degenerate mesh).
+// solveComplex is the full complex-to-complex reference path (the in-package
+// test oracle, and the n == 1 degenerate mesh).
 func (pm *PM) solveComplex() {
 	pm.ensureWork()
 	for i, r := range pm.Rho {

@@ -30,11 +30,6 @@ type Config struct {
 	Interleaved bool
 	// NoDeconvolve disables TSC window deconvolution (ablation).
 	NoDeconvolve bool
-	// ComplexFFT keeps the Poisson solve on the full complex-to-complex
-	// transform instead of the default real-to-complex half-spectrum path —
-	// the reference/ablation configuration with twice the FFT arithmetic and
-	// all-to-all transpose volume.
-	ComplexFFT bool
 	// Pencil replaces the 1-D slab FFT with the 2-D pencil decomposition of
 	// §IV (future work): the FFT runs on PY×PZ processes (NFFT = PY·PZ),
 	// lifting the NFFT ≤ N_PM slab limit to N_PM². The relay mesh method
@@ -114,12 +109,9 @@ type Solver struct {
 	pencil  *pfft.PencilPlan
 
 	// green is the cached Green's multiplier table (nil → direct KGreenW,
-	// e.g. N == 1); spec is the persistent half-spectrum slab of the r2c
-	// path, cwork the lazily allocated full complex slab of the reference
-	// path.
+	// e.g. N == 1); spec is the persistent half-spectrum slab.
 	green *mesh.GreenTab
 	spec  []complex128
-	cwork []complex128
 
 	// Cached exchange geometry and buffers: the block lists depend only on
 	// the domain decomposition, so both sides precompute them in New, and
@@ -142,7 +134,7 @@ type Solver struct {
 	poolBusy [nPoolPhases]*telemetry.Counter
 	poolIdle [nPoolPhases]*telemetry.Counter
 
-	taskConv, taskConvC func(w, lo, hi int)
+	taskConv func(w, lo, hi int)
 
 	// pending is the in-flight background solve between AccelStart and
 	// AccelWait; nil otherwise.
@@ -270,7 +262,7 @@ func New(c *mpi.Comm, cfg Config, lo, hi vec.V3) (*Solver, error) {
 	}
 	s.sendF = make([][]float64, s.convComm.Size())
 	s.green = mesh.GreenTable(cfg.N, cfg.L, cfg.G, cfg.Rcut, !cfg.NoDeconvolve, 3)
-	if s.isFFT && !cfg.Pencil && !cfg.ComplexFFT {
+	if s.isFFT && !cfg.Pencil {
 		s.spec = make([]complex128, s.plan.LocalSpecSize())
 	}
 	// Intra-rank worker pool: injected (shared with tree and integrator
@@ -291,7 +283,6 @@ func New(c *mpi.Comm, cfg Config, lo, hi vec.V3) (*Solver, error) {
 		}
 	}
 	s.taskConv = s.convRows
-	s.taskConvC = s.convRowsComplex
 	for i, name := range [nPoolPhases]string{
 		telemetry.PhasePMDensity, telemetry.PhasePMFFT,
 		telemetry.PhasePMMeshForce, telemetry.PhasePMInterp,
@@ -586,24 +577,20 @@ func (s *Solver) TakeTapSeconds() float64 {
 	return d
 }
 
-// visitSpec dispatches the armed tap over this rank's stored spectrum with
-// the layout-appropriate index mapping and Hermitian multiplicities.
-func (s *Solver) visitSpec(spec []complex128, pencil, halfZ bool) {
+// visitSpec dispatches the armed tap over this rank's stored half-spectrum
+// with the layout-appropriate index mapping and Hermitian multiplicities:
+// the compressed axis (kz ∈ [0, n/2] for slabs, kx for pencils) counts its
+// interior modes twice.
+func (s *Solver) visitSpec(spec []complex128) {
 	t0 := time.Now()
 	n := s.cfg.N
 	v := s.specTap
-	if pencil {
-		var xc, xo, yc2, yo2 int
-		if halfZ {
-			// Real pencil path: x is the compressed axis (kx ∈ [0, n/2]).
-			xc, xo, yc2, yo2 = s.pencil.SpecDims()
-		} else {
-			xc, xo, yc2, yo2 = s.pencil.OutDims()
-		}
+	if s.cfg.Pencil {
+		xc, xo, yc2, yo2 := s.pencil.SpecDims()
 		for ix := 0; ix < xc; ix++ {
 			jx := xo + ix
 			w := 1
-			if halfZ && jx != 0 && jx != n/2 {
+			if jx != 0 && jx != n/2 {
 				w = 2
 			}
 			for iy := 0; iy < yc2; iy++ {
@@ -616,10 +603,7 @@ func (s *Solver) visitSpec(spec []complex128, pencil, halfZ bool) {
 			}
 		}
 	} else {
-		nh := n
-		if halfZ {
-			nh = s.plan.NZSpec() // n/2 + 1: z is the compressed axis
-		}
+		nh := s.plan.NZSpec() // n/2 + 1
 		off := s.plan.LocalOffset()
 		for lx := 0; lx < s.plan.LocalCount(); lx++ {
 			jx := off + lx
@@ -627,7 +611,7 @@ func (s *Solver) visitSpec(spec []complex128, pencil, halfZ bool) {
 				base := (lx*n + jy) * nh
 				for jz := 0; jz < nh; jz++ {
 					w := 1
-					if halfZ && jz != 0 && jz != n/2 {
+					if jz != 0 && jz != n/2 {
 						w = 2
 					}
 					d := spec[base+jz]
@@ -642,24 +626,20 @@ func (s *Solver) visitSpec(spec []complex128, pencil, halfZ bool) {
 // fftAndGreen runs the parallel FFT and the Green's-function convolution on
 // the FFT processes, turning the density region into the potential region.
 //
-// The default path is real-to-complex: the slab density transforms into its
+// The solve is real-to-complex: the slab density transforms into its
 // Hermitian half-spectrum (n/2+1 z modes), the real, even Green's multiplier
 // scales it in place on the persistent spec buffer — conjugate symmetry at
 // the jz = 0 and jz = n/2 planes survives because the multiplier is real —
 // and c2r brings the potential back. Both transposes inside the plan carry
-// roughly half the complex path's bytes.
+// (n/2+1)/n of a complex transform's bytes.
 func (s *Solver) fftAndGreen() {
 	if s.cfg.Pencil {
 		s.fftAndGreenPencil()
 		return
 	}
-	if s.cfg.ComplexFFT {
-		s.fftAndGreenComplex()
-		return
-	}
 	s.plan.ForwardReal(s.slab, s.spec)
 	if s.specTap != nil {
-		s.visitSpec(s.spec, false, true)
+		s.visitSpec(s.spec)
 	}
 	s.pool.Run(s.plan.LocalCount(), s.taskConv)
 	s.plan.InverseReal(s.spec, s.slab)
@@ -690,77 +670,15 @@ func (s *Solver) convRows(w, lo, hi int) {
 	}
 }
 
-// convRowsComplex is the full-spectrum counterpart for the complex path.
-func (s *Solver) convRowsComplex(w, lo, hi int) {
-	n := s.cfg.N
-	off := s.plan.LocalOffset()
-	for lx := lo; lx < hi; lx++ {
-		jx := off + lx
-		for jy := 0; jy < n; jy++ {
-			base := (lx*n + jy) * n
-			for jz := 0; jz < n; jz++ {
-				s.cwork[base+jz] *= complex(s.greenAt(jx, jy, jz), 0)
-			}
-		}
-	}
-}
-
-// fftAndGreenComplex is the full complex-to-complex reference path
-// (Config.ComplexFFT), kept for parity tests and before/after benchmarks.
-func (s *Solver) fftAndGreenComplex() {
-	if s.cwork == nil {
-		s.cwork = make([]complex128, len(s.slab))
-	}
-	work := s.cwork
-	for i, v := range s.slab {
-		work[i] = complex(v, 0)
-	}
-	s.plan.Forward(work)
-	if s.specTap != nil {
-		s.visitSpec(work, false, false)
-	}
-	s.pool.Run(s.plan.LocalCount(), s.taskConvC)
-	s.plan.Inverse(work)
-	for i := range s.slab {
-		s.slab[i] = real(work[i])
-	}
-}
-
 // fftAndGreenPencil is fftAndGreen with the 2-D pencil plan: forward to the
-// C layout, convolve there (where z is complete), and come back to A. On the
-// default real path the compressed axis is x (the one transformed before any
-// communication), so the convolution runs over kx ∈ [0, n/2] and full ky/kz.
+// C layout, convolve there (where z is complete), and come back to A. The
+// compressed axis is x (the one transformed before any communication), so
+// the convolution runs over kx ∈ [0, n/2] and full ky/kz.
 func (s *Solver) fftAndGreenPencil() {
 	n := s.cfg.N
-	if s.cfg.ComplexFFT {
-		in := make([]complex128, len(s.slab))
-		for i, v := range s.slab {
-			in[i] = complex(v, 0)
-		}
-		out := s.pencil.Forward(in)
-		if s.specTap != nil {
-			s.visitSpec(out, true, false)
-		}
-		xc, xo, yc2, yo2 := s.pencil.OutDims()
-		s.pool.Run(xc, func(w, lo, hi int) {
-			for ix := lo; ix < hi; ix++ {
-				for iy := 0; iy < yc2; iy++ {
-					base := (ix*yc2 + iy) * n
-					for jz := 0; jz < n; jz++ {
-						out[base+jz] *= complex(s.greenAt(xo+ix, yo2+iy, jz), 0)
-					}
-				}
-			}
-		})
-		back := s.pencil.Inverse(out)
-		for i := range s.slab {
-			s.slab[i] = real(back[i])
-		}
-		return
-	}
 	spec := s.pencil.ForwardReal(s.slab)
 	if s.specTap != nil {
-		s.visitSpec(spec, true, true)
+		s.visitSpec(spec)
 	}
 	xc, xo, yc2, yo2 := s.pencil.SpecDims()
 	s.pool.Run(xc, func(w, lo, hi int) {

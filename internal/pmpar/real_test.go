@@ -6,39 +6,6 @@ import (
 	"greem/internal/mpi"
 )
 
-func TestRealMatchesComplexNaive(t *testing.T) {
-	x, y, z, m, geo, owner := makeSystem(11, 300, 2, 2, 2)
-	cfg := Config{N: 16, L: 1, G: 1, Rcut: 3.0 / 16, NFFT: 4}
-	rx, ry, rz := runParallelPM(t, cfg, x, y, z, m, geo, owner)
-	cfg.ComplexFFT = true
-	cx, cy, cz := runParallelPM(t, cfg, x, y, z, m, geo, owner)
-	if d := maxRelDiff(rx, cx, ry, cy, rz, cz); d > 1e-12 {
-		t.Errorf("naive r2c vs complex: max rel diff %g > 1e-12", d)
-	}
-}
-
-func TestRealMatchesComplexRelay(t *testing.T) {
-	x, y, z, m, geo, owner := makeSystem(12, 300, 2, 2, 2)
-	cfg := Config{N: 16, L: 1, G: 1, Rcut: 3.0 / 16, NFFT: 2, Relay: true, Groups: 2}
-	rx, ry, rz := runParallelPM(t, cfg, x, y, z, m, geo, owner)
-	cfg.ComplexFFT = true
-	cx, cy, cz := runParallelPM(t, cfg, x, y, z, m, geo, owner)
-	if d := maxRelDiff(rx, cx, ry, cy, rz, cz); d > 1e-12 {
-		t.Errorf("relay r2c vs complex: max rel diff %g > 1e-12", d)
-	}
-}
-
-func TestRealMatchesComplexPencil(t *testing.T) {
-	x, y, z, m, geo, owner := makeSystem(13, 300, 2, 2, 2)
-	cfg := Config{N: 16, L: 1, G: 1, Rcut: 3.0 / 16, Pencil: true, PY: 4, PZ: 2}
-	rx, ry, rz := runParallelPM(t, cfg, x, y, z, m, geo, owner)
-	cfg.ComplexFFT = true
-	cx, cy, cz := runParallelPM(t, cfg, x, y, z, m, geo, owner)
-	if d := maxRelDiff(rx, cx, ry, cy, rz, cz); d > 1e-12 {
-		t.Errorf("pencil r2c vs complex: max rel diff %g > 1e-12", d)
-	}
-}
-
 // TestExchangePackZeroAllocs is the regression test for the per-step
 // send-buffer allocations the conversions used to make: after one warm-up
 // cycle, packing density and potential must not allocate.
@@ -75,54 +42,53 @@ func TestExchangePackZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestRealReducesAlltoallBytes: at the full solver level the r2c path must
-// move fewer all-to-all bytes than the complex path (the FFT transposes
-// halve; the window conversions are unchanged).
+// TestRealReducesAlltoallBytes: at the full solver level the r2c solve's FFT
+// transposes must carry exactly (n/2+1)/n of a complex transform's closed-form
+// byte count — four transposes (forward and inverse each go to y-slabs and
+// back) of n³ complex128, of which (p−1)/p cross ranks.
+// NFFT = 4 on 8 ranks isolates the transposes in the ledger: they are the
+// only all-to-alls on a 4-rank communicator (the window conversions run on
+// the world).
 func TestRealReducesAlltoallBytes(t *testing.T) {
+	const n, nfft = 16, 4
 	x, y, z, m, geo, owner := makeSystem(15, 300, 2, 2, 2)
-	bytesFor := func(complexFFT bool) int64 {
-		cfg := Config{N: 16, L: 1, G: 1, Rcut: 3.0 / 16, NFFT: 8, ComplexFFT: complexFFT}
-		var total int64
-		err := mpi.Run(geo.NumDomains(), func(c *mpi.Comm) {
-			lo, hi := geo.Bounds(c.Rank())
-			s, err := New(c, cfg, lo, hi)
-			if err != nil {
-				panic(err)
-			}
-			ids := owner[c.Rank()]
-			lx := make([]float64, len(ids))
-			ly := make([]float64, len(ids))
-			lz := make([]float64, len(ids))
-			lm := make([]float64, len(ids))
-			for k, id := range ids {
-				lx[k], ly[k], lz[k], lm[k] = x[id], y[id], z[id], m[id]
-			}
-			ax := make([]float64, len(ids))
-			ay := make([]float64, len(ids))
-			az := make([]float64, len(ids))
-			c.Traffic().Reset()
-			s.Accel(lx, ly, lz, lm, ax, ay, az)
-			c.Barrier()
-			if c.Rank() == 0 {
-				total = c.Traffic().TotalsByOp()["Alltoallv"].Bytes
-			}
-		})
+	cfg := Config{N: n, L: 1, G: 1, Rcut: 3.0 / n, NFFT: nfft}
+	var transposes int64
+	err := mpi.Run(geo.NumDomains(), func(c *mpi.Comm) {
+		lo, hi := geo.Bounds(c.Rank())
+		s, err := New(c, cfg, lo, hi)
 		if err != nil {
-			t.Fatal(err)
+			panic(err)
 		}
-		return total
+		ids := owner[c.Rank()]
+		lx := make([]float64, len(ids))
+		ly := make([]float64, len(ids))
+		lz := make([]float64, len(ids))
+		lm := make([]float64, len(ids))
+		for k, id := range ids {
+			lx[k], ly[k], lz[k], lm[k] = x[id], y[id], z[id], m[id]
+		}
+		ax := make([]float64, len(ids))
+		ay := make([]float64, len(ids))
+		az := make([]float64, len(ids))
+		c.Traffic().Reset()
+		s.Accel(lx, ly, lz, lm, ax, ay, az)
+		c.Barrier()
+		if c.Rank() == 0 {
+			for _, op := range c.Traffic().Ops() {
+				if op.Name == "Alltoallv" && op.CommSize == nfft {
+					for _, msg := range op.Msgs {
+						transposes += int64(msg.Bytes)
+					}
+				}
+			}
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	full := bytesFor(true)
-	half := bytesFor(false)
-	if half >= full {
-		t.Errorf("r2c Accel moved %d all-to-all bytes, complex %d — expected a reduction", half, full)
-	}
-	// The window conversions (unchanged between paths, and ghost-inflated at
-	// this toy size) dominate the total, so only a modest end-to-end saving
-	// shows here; the exact (n/2+1)/n transpose ratio is asserted in
-	// pfft.TestRealTransposeBytesHalved. Still require a real dent, not a
-	// rounding error.
-	if float64(half) > 0.9*float64(full) {
-		t.Errorf("r2c saved only %d of %d all-to-all bytes", full-half, full)
+	const complexBytes = 4 * n * n * n * 16 * (nfft - 1) / nfft
+	if want := int64(complexBytes * (n/2 + 1) / n); transposes != want {
+		t.Errorf("r2c transposes moved %d bytes, want %d = (n/2+1)/n of the complex %d", transposes, want, complexBytes)
 	}
 }

@@ -14,9 +14,10 @@
 // g(ξ) = 0 for ξ ≥ 2, so the particle-particle interaction vanishes outside
 // the finite radius rcut (Newton's second theorem).
 //
-// The package provides a straightforward scalar kernel, a hand-unrolled
-// kernel in the style of Phantom-GRAPE (4 targets × blocked sources, fast
-// approximate inverse square root with a third-order refinement), and the
+// The package provides the production float32 kernel in the style of
+// Phantom-GRAPE (4 targets × blocked sources, fast approximate inverse square
+// root with a third-order refinement; AVX2+FMA assembly with a pure-Go
+// fallback), the scalar float64 loop it is tested against, and the
 // 51-operations-per-interaction ledger the paper uses to report Pflops.
 package ppkern
 

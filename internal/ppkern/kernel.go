@@ -42,8 +42,8 @@ func (s *Source) Reset() {
 // constant g. It returns the number of pairwise interactions evaluated
 // (n × src.Len()), the quantity the paper multiplies by 51 to count flops.
 //
-// This is the reference scalar implementation; AccelCutoffFast is the
-// optimized kernel.
+// This scalar float64 loop is the package's reference oracle: the float32
+// family in kernel32.go (the production kernel) is pinned against it.
 func AccelCutoff(xi, yi, zi []float64, src *Source, g, rcut, eps2 float64, ax, ay, az []float64) uint64 {
 	cinv := 2 / rcut
 	for i := range xi {
@@ -73,133 +73,11 @@ func AccelCutoff(xi, yi, zi []float64, src *Source, g, rcut, eps2 float64, ax, a
 	return interactions(len(xi), src.Len())
 }
 
-// AccelCutoffFast is the optimized force loop: the i-loop is unrolled four
-// ways (the K kernel evaluates forces from 4 particles on 4 particles per
-// iteration of its 8× unrolled SIMD loop). On amd64, math.Sqrt compiles to a
-// hardware instruction that beats a software-emulated frsqrta, so this
-// variant uses 1/√ directly; AccelCutoffPhantom is the faithful HPC-ACE
-// port with the approximate reciprocal square root and third-order
-// refinement. eps2 must be positive if the source set can contain a target
-// (the usual case in Barnes' modified algorithm, where a group's own
-// particles appear in its interaction list).
-//
-// The cutoff is applied branch-free via a mask, as the SIMD code does with
-// fcmp/fand: beyond ξ = 2 the polynomial is multiplied by zero rather than
-// skipped, so the arithmetic per interaction is constant — that is what
-// makes the 51-op ledger exact.
-func AccelCutoffFast(xi, yi, zi []float64, src *Source, g, rcut, eps2 float64, ax, ay, az []float64) uint64 {
-	return accelCutoffUnrolled(xi, yi, zi, src, g, rcut, eps2, ax, ay, az, false)
-}
-
-// AccelCutoffPhantom is the algorithmically faithful Phantom-GRAPE port:
-// identical to AccelCutoffFast but computing 1/√r² the HPC-ACE way — an
-// 8-bit approximate seed (frsqrta) refined by one third-order step,
-// delivering ≈24-bit accuracy (§II-A).
-func AccelCutoffPhantom(xi, yi, zi []float64, src *Source, g, rcut, eps2 float64, ax, ay, az []float64) uint64 {
-	return accelCutoffUnrolled(xi, yi, zi, src, g, rcut, eps2, ax, ay, az, true)
-}
-
 // interactions is the pairwise-interaction ledger entry for n targets
-// against nj sources — the single place the count is defined, so unrolled
-// kernels compose it from their panel and remainder contributions instead
-// of recomputing it.
+// against nj sources — the single place the count is defined, so the
+// unrolled float32 kernel composes it from its panel and remainder
+// contributions instead of recomputing it.
 func interactions(n, nj int) uint64 { return uint64(n) * uint64(nj) }
-
-func accelCutoffUnrolled(xi, yi, zi []float64, src *Source, g, rcut, eps2 float64, ax, ay, az []float64, phantom bool) uint64 {
-	cinv := 2 / rcut
-	n := len(xi)
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		accelCutoff4(xi[i:i+4], yi[i:i+4], zi[i:i+4], src, g, cinv, eps2, ax[i:i+4], ay[i:i+4], az[i:i+4], phantom)
-	}
-	inter := interactions(i, src.Len())
-	if i < n {
-		inter += AccelCutoff(xi[i:], yi[i:], zi[i:], src, g, rcut, eps2, ax[i:], ay[i:], az[i:])
-	}
-	return inter
-}
-
-// accelCutoff4 computes cutoff forces on exactly four targets.
-func accelCutoff4(xi, yi, zi []float64, src *Source, g, cinv, eps2 float64, ax, ay, az []float64, phantom bool) {
-	x0, x1, x2, x3 := xi[0], xi[1], xi[2], xi[3]
-	y0, y1, y2, y3 := yi[0], yi[1], yi[2], yi[3]
-	z0, z1, z2, z3 := zi[0], zi[1], zi[2], zi[3]
-	var fx0, fx1, fx2, fx3 float64
-	var fy0, fy1, fy2, fy3 float64
-	var fz0, fz1, fz2, fz3 float64
-	sx, sy, sz, sm := src.X, src.Y, src.Z, src.M
-	for j := range sx {
-		pjx, pjy, pjz := sx[j], sy[j], sz[j]
-		gm := g * sm[j]
-
-		dx0 := pjx - x0
-		dy0 := pjy - y0
-		dz0 := pjz - z0
-		r20 := eps2 + dx0*dx0 + dy0*dy0 + dz0*dz0
-		w0 := gm * cutoffW(r20, cinv, phantom)
-		fx0 += w0 * dx0
-		fy0 += w0 * dy0
-		fz0 += w0 * dz0
-
-		dx1 := pjx - x1
-		dy1 := pjy - y1
-		dz1 := pjz - z1
-		r21 := eps2 + dx1*dx1 + dy1*dy1 + dz1*dz1
-		w1 := gm * cutoffW(r21, cinv, phantom)
-		fx1 += w1 * dx1
-		fy1 += w1 * dy1
-		fz1 += w1 * dz1
-
-		dx2 := pjx - x2
-		dy2 := pjy - y2
-		dz2 := pjz - z2
-		r22 := eps2 + dx2*dx2 + dy2*dy2 + dz2*dz2
-		w2 := gm * cutoffW(r22, cinv, phantom)
-		fx2 += w2 * dx2
-		fy2 += w2 * dy2
-		fz2 += w2 * dz2
-
-		dx3 := pjx - x3
-		dy3 := pjy - y3
-		dz3 := pjz - z3
-		r23 := eps2 + dx3*dx3 + dy3*dy3 + dz3*dz3
-		w3 := gm * cutoffW(r23, cinv, phantom)
-		fx3 += w3 * dx3
-		fy3 += w3 * dy3
-		fz3 += w3 * dz3
-	}
-	ax[0] += fx0
-	ax[1] += fx1
-	ax[2] += fx2
-	ax[3] += fx3
-	ay[0] += fy0
-	ay[1] += fy1
-	ay[2] += fy2
-	ay[3] += fy3
-	az[0] += fz0
-	az[1] += fz1
-	az[2] += fz2
-	az[3] += fz3
-}
-
-// cutoffW returns g_P3M(ξ)/r³ for r² = r2 (softened), with the ξ ≥ 2 region
-// masked to zero. phantom selects the emulated HPC-ACE reciprocal square
-// root; otherwise the hardware square-root instruction is used.
-func cutoffW(r2, cinv float64, phantom bool) float64 {
-	var rinv float64
-	if phantom {
-		rinv = Rsqrt(r2)
-	} else {
-		rinv = 1 / math.Sqrt(r2)
-	}
-	xi2 := r2 * rinv * cinv
-	mask := 1.0
-	if xi2 >= 2 {
-		mask = 0
-		xi2 = 2
-	}
-	return mask * gp3mPoly(xi2) * rinv * rinv * rinv
-}
 
 // AccelPlain accumulates plain Newtonian (no cutoff) accelerations; used by
 // the open-boundary tree and direct-summation baselines.

@@ -15,7 +15,7 @@ import "math"
 // Per-target partial forces are accumulated in float32 only within a fixed
 // TileJ-source tile and flushed into float64 accumulators between tiles,
 // bounding the float32 summation length; the caller-visible accumulation is
-// float64. The float64 kernels in kernel.go remain the parity oracle.
+// float64. The scalar float64 AccelCutoff in kernel.go is the parity oracle.
 
 // TileJ is the j-batch tile size of the unrolled float32 kernel: partial
 // sums are flushed to float64 every TileJ sources, and a tile of four SoA
@@ -69,8 +69,13 @@ func gp3mPoly32(xi float32) float32 {
 // cutoffW32 returns g_P3M(ξ)/r³ for r² = r2 (softened) in float32, with the
 // ξ ≥ 2 region masked to exactly zero — branch-free in the fcmp/fand sense:
 // the polynomial is still evaluated (at the clamped ξ = 2) and multiplied by
-// a zero mask, so the arithmetic per interaction is constant.
+// a zero mask, so the arithmetic per interaction is constant. r2 = 0 (a
+// target in its own list with zero softening) yields exactly zero, as the
+// SIMD kernel's mask does.
 func cutoffW32(r2, cinv float32) float32 {
+	if r2 == 0 {
+		return 0
+	}
 	rinv := Rsqrt32(r2)
 	xi2 := r2 * rinv * cinv
 	mask := float32(1)
@@ -125,10 +130,9 @@ func AccelCutoffF32(xi, yi, zi []float32, src *SourceF32, g, rcut, eps2 float32,
 // ξ ≥ 2 cutoff applied as a branch-free mask so the 51-op ledger stays
 // exact. On amd64 with AVX2+FMA the panel runs 8 interactions per
 // instruction stream step in hand-written assembly (accel_amd64.s); the
-// pure-Go panel accelCutoff4F32 is the portable fallback. eps2 must be
-// positive if the source set can contain a target (the usual case in
-// Barnes' modified algorithm, where a group's own particles appear in its
-// interaction list).
+// pure-Go panel accelCutoff4F32 is the portable fallback. A source that
+// coincides with a target at eps2 = 0 (a group's own particles appear in its
+// interaction list) contributes exactly zero.
 //
 // Note the scalar-skip parity caveat: exactly at the softened ξ = 2
 // boundary the scalar kernels skip (ξ computed ≥ 2) while this kernel
@@ -160,8 +164,9 @@ func AccelCutoffF32Fast(xi, yi, zi []float32, src *SourceF32, g, rcut, eps2 floa
 // the readable twin the tests pin this against.
 //
 // The loop body is genuinely branch-free, the scalar equivalent of the SIMD
-// fcmp/fand: the ξ ≥ 2 mask is the sign bit of ξ−2 AND-ed onto the weight
-// (exactly zero beyond the cutoff), and the ξ/ζ clamps use the min/max
+// fcmp/fand: the ξ ≥ 2 mask is the sign bit of ξ−2, AND-ed with an r² ≠ 0
+// mask (the sign bit of −bits(r²)), onto the weight (exactly zero beyond the
+// cutoff and at zero separation), and the ξ/ζ clamps use the min/max
 // builtins, which compile to MINSS/MAXSS — with beyond-cutoff sources mixed
 // into the stream, per-lane branches would mispredict constantly. Tile
 // slices are re-sliced to a common length so bounds checks drop out.
@@ -198,7 +203,7 @@ func accelCutoff4F32(xi, yi, zi []float32, src *SourceF32, g, cinv, eps2 float32
 			h0 := 1 - r20*u0*u0
 			ri0 := u0 * (1 + h0*(0.5+h0*0.375))
 			q0 := r20 * ri0 * cinv
-			sel0 := uint32(int32(math.Float32bits(q0-2)) >> 31)
+			sel0 := uint32(int32(math.Float32bits(q0-2))>>31) & uint32(-int32(math.Float32bits(r20))>>31)
 			q0 = min(q0, 2)
 			zt0 := max(q0-1, 0)
 			z20 := zt0 * zt0
@@ -223,7 +228,7 @@ func accelCutoff4F32(xi, yi, zi []float32, src *SourceF32, g, cinv, eps2 float32
 			h1 := 1 - r21*u1*u1
 			ri1 := u1 * (1 + h1*(0.5+h1*0.375))
 			q1 := r21 * ri1 * cinv
-			sel1 := uint32(int32(math.Float32bits(q1-2)) >> 31)
+			sel1 := uint32(int32(math.Float32bits(q1-2))>>31) & uint32(-int32(math.Float32bits(r21))>>31)
 			q1 = min(q1, 2)
 			zt1 := max(q1-1, 0)
 			z21 := zt1 * zt1
@@ -248,7 +253,7 @@ func accelCutoff4F32(xi, yi, zi []float32, src *SourceF32, g, cinv, eps2 float32
 			h2 := 1 - r22*u2*u2
 			ri2 := u2 * (1 + h2*(0.5+h2*0.375))
 			q2 := r22 * ri2 * cinv
-			sel2 := uint32(int32(math.Float32bits(q2-2)) >> 31)
+			sel2 := uint32(int32(math.Float32bits(q2-2))>>31) & uint32(-int32(math.Float32bits(r22))>>31)
 			q2 = min(q2, 2)
 			zt2 := max(q2-1, 0)
 			z22 := zt2 * zt2
@@ -273,7 +278,7 @@ func accelCutoff4F32(xi, yi, zi []float32, src *SourceF32, g, cinv, eps2 float32
 			h3 := 1 - r23*u3*u3
 			ri3 := u3 * (1 + h3*(0.5+h3*0.375))
 			q3 := r23 * ri3 * cinv
-			sel3 := uint32(int32(math.Float32bits(q3-2)) >> 31)
+			sel3 := uint32(int32(math.Float32bits(q3-2))>>31) & uint32(-int32(math.Float32bits(r23))>>31)
 			q3 = min(q3, 2)
 			zt3 := max(q3-1, 0)
 			z23 := zt3 * zt3

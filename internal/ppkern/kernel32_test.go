@@ -143,15 +143,9 @@ func TestCutoffMaskBoundary(t *testing.T) {
 
 	for k := -40; k <= 40; k++ {
 		r := rcut * (1 + float64(k)*1e-3) // sweep 0.96·rcut … 1.04·rcut
-		// cutoffW / cutoffW32 masked exactly to zero beyond the boundary.
+		// cutoffW32 masked exactly to zero beyond the boundary.
 		// (1+2e-3 leaves room for the rounded ξ = 2r/rcut to cross 2.)
 		if r >= rcut*(1+2e-3) {
-			if w := cutoffW(r*r, cinv, false); w != 0 {
-				t.Fatalf("cutoffW(r=%v) = %v, want exact 0", r, w)
-			}
-			if w := cutoffW(r*r, cinv, true); w != 0 {
-				t.Fatalf("cutoffW(phantom, r=%v) = %v, want exact 0", r, w)
-			}
 			if w := cutoffW32(float32(r*r), float32(cinv)); w != 0 {
 				t.Fatalf("cutoffW32(r=%v) = %v, want exact 0", r, w)
 			}
@@ -163,18 +157,13 @@ func TestCutoffMaskBoundary(t *testing.T) {
 		x4f := []float32{float32(r), float32(r), float32(r), float32(r)}
 		z4f := make([]float32, 4)
 		sc := make([]float64, 4)
-		fa := make([]float64, 4)
 		s32 := make([]float64, 4)
 		f32 := make([]float64, 4)
 		junk := make([]float64, 4)
 		AccelCutoff(x4, z4, z4, src, 1, rcut, 0, sc, junk, junk)
-		AccelCutoffFast(x4, z4, z4, src, 1, rcut, 0, fa, junk, junk)
 		AccelCutoffF32(x4f, z4f, z4f, src32, 1, rcut, 0, s32, junk, junk)
 		AccelCutoffF32Fast(x4f, z4f, z4f, src32, 1, rcut, 0, f32, junk, junk)
 		for i := 0; i < 4; i++ {
-			if math.Abs(sc[i]-fa[i]) > 1e-12*(1+math.Abs(sc[i])) {
-				t.Fatalf("r=%v: scalar %v vs masked fast %v", r, sc[i], fa[i])
-			}
 			// Near ξ = 2 the polynomial cancels to ~0 from O(1) terms, so
 			// float32 agreement is bounded by rounding noise amplified by
 			// 1/r³ — measure against the natural force scale 1/r².
@@ -191,17 +180,23 @@ func TestCutoffMaskBoundary(t *testing.T) {
 		// Beyond the boundary all paths are exactly zero.
 		if r >= rcut*(1+2e-3) {
 			for i := 0; i < 4; i++ {
-				if sc[i] != 0 || fa[i] != 0 || s32[i] != 0 || f32[i] != 0 {
-					t.Fatalf("r=%v beyond rcut: forces (%v,%v,%v,%v) not exactly 0",
-						r, sc[i], fa[i], s32[i], f32[i])
+				if sc[i] != 0 || s32[i] != 0 || f32[i] != 0 {
+					t.Fatalf("r=%v beyond rcut: forces (%v,%v,%v) not exactly 0",
+						r, sc[i], s32[i], f32[i])
 				}
 			}
 		}
 	}
 
-	// Geometric r = 0 with eps2 > 0: zero numerator, finite weight — the
-	// force is exactly zero and never NaN, in every variant.
-	eps2 := 1e-8
+	// Geometric r = 0: with eps2 > 0 a zero numerator and finite weight, with
+	// eps2 = 0 the kernels' zero-separation skip/mask — the force is exactly
+	// zero and never NaN, in every variant.
+	for _, eps2 := range []float64{1e-8, 0} {
+		testCoincidentTargets(t, src, src32, rcut, eps2)
+	}
+}
+
+func testCoincidentTargets(t *testing.T, src *Source, src32 *SourceF32, rcut, eps2 float64) {
 	z4 := make([]float64, 4)
 	z4f := make([]float32, 4)
 	for name, f := range map[string]func() []float64{
@@ -210,30 +205,25 @@ func TestCutoffMaskBoundary(t *testing.T) {
 			AccelCutoff(z4, z4, z4, src, 1, rcut, eps2, a, make([]float64, 4), make([]float64, 4))
 			return a
 		},
-		"fast": func() []float64 {
-			a := make([]float64, 4)
-			AccelCutoffFast(z4, z4, z4, src, 1, rcut, eps2, a, make([]float64, 4), make([]float64, 4))
-			return a
-		},
-		"phantom": func() []float64 {
-			a := make([]float64, 4)
-			AccelCutoffPhantom(z4, z4, z4, src, 1, rcut, eps2, a, make([]float64, 4), make([]float64, 4))
-			return a
-		},
 		"f32": func() []float64 {
 			a := make([]float64, 4)
-			AccelCutoffF32(z4f, z4f, z4f, src32, 1, rcut, float32(eps2), a, make([]float64, 4), make([]float64, 4))
+			AccelCutoffF32(z4f, z4f, z4f, src32, 1, float32(rcut), float32(eps2), a, make([]float64, 4), make([]float64, 4))
 			return a
 		},
 		"f32fast": func() []float64 {
 			a := make([]float64, 4)
-			AccelCutoffF32Fast(z4f, z4f, z4f, src32, 1, rcut, float32(eps2), a, make([]float64, 4), make([]float64, 4))
+			AccelCutoffF32Fast(z4f, z4f, z4f, src32, 1, float32(rcut), float32(eps2), a, make([]float64, 4), make([]float64, 4))
+			return a
+		},
+		"f32panel": func() []float64 { // the pure-Go fallback, whatever the host dispatches
+			a := make([]float64, 4)
+			accelCutoff4F32(z4f, z4f, z4f, src32, 1, float32(2/rcut), float32(eps2), a, make([]float64, 4), make([]float64, 4))
 			return a
 		},
 	} {
 		for i, v := range f() {
 			if v != 0 || math.IsNaN(v) {
-				t.Errorf("%s: coincident target %d with eps2>0: force %v, want exact 0", name, i, v)
+				t.Errorf("%s: coincident target %d with eps2=%v: force %v, want exact 0", name, i, eps2, v)
 			}
 		}
 	}
@@ -241,7 +231,7 @@ func TestCutoffMaskBoundary(t *testing.T) {
 
 // TestUnrolledInteractionCountRemainder pins the satellite fix: target
 // counts not divisible by 4 must report exactly n × Nj interactions from
-// every unrolled kernel (the remainder path's count is composed, not
+// the unrolled kernel (the remainder path's count is composed, not
 // recomputed).
 func TestUnrolledInteractionCountRemainder(t *testing.T) {
 	rng := rand.New(rand.NewSource(26))
@@ -254,12 +244,6 @@ func TestUnrolledInteractionCountRemainder(t *testing.T) {
 			a := make([]float64, n)
 			b := make([]float64, n)
 			c := make([]float64, n)
-			if got := AccelCutoffFast(tgt.X, tgt.Y, tgt.Z, src, 1, 0.3, 1e-8, a, b, c); got != want {
-				t.Errorf("Fast n=%d nj=%d: count %d, want %d", n, nj, got, want)
-			}
-			if got := AccelCutoffPhantom(tgt.X, tgt.Y, tgt.Z, src, 1, 0.3, 1e-8, a, b, c); got != want {
-				t.Errorf("Phantom n=%d nj=%d: count %d, want %d", n, nj, got, want)
-			}
 			if got := AccelCutoffF32Fast(tgt32.X, tgt32.Y, tgt32.Z, src32, 1, 0.3, 1e-8, a, b, c); got != want {
 				t.Errorf("F32Fast n=%d nj=%d: count %d, want %d", n, nj, got, want)
 			}

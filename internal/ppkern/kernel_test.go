@@ -4,51 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"testing/quick"
 )
-
-func TestRsqrtSeedAccuracy(t *testing.T) {
-	// frsqrta emulation: 8-bit-class accuracy means relative error < 2⁻⁸.
-	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < 100000; i++ {
-		// Wide dynamic range, including odd/even exponents.
-		x := math.Ldexp(1+rng.Float64(), rng.Intn(120)-60)
-		got := RsqrtSeed(x)
-		want := 1 / math.Sqrt(x)
-		rel := math.Abs(got-want) / want
-		if rel > 1.0/256 {
-			t.Fatalf("RsqrtSeed(%v): rel err %v > 2^-8", x, rel)
-		}
-	}
-}
-
-func TestRsqrtRefinedAccuracy(t *testing.T) {
-	// One third-order step must reach ≈24-bit accuracy (paper §II-A).
-	rng := rand.New(rand.NewSource(2))
-	worst := 0.0
-	for i := 0; i < 200000; i++ {
-		x := math.Ldexp(1+rng.Float64(), rng.Intn(200)-100)
-		got := Rsqrt(x)
-		want := 1 / math.Sqrt(x)
-		rel := math.Abs(got-want) / want
-		if rel > worst {
-			worst = rel
-		}
-	}
-	if worst > math.Ldexp(1, -24) {
-		t.Errorf("worst relative error %v exceeds 2^-24", worst)
-	}
-}
-
-func TestRsqrtExactPowersOfFour(t *testing.T) {
-	for _, x := range []float64{0.25, 1, 4, 16, 1024 * 1024} {
-		got := Rsqrt(x)
-		want := 1 / math.Sqrt(x)
-		if math.Abs(got-want)/want > 1e-7 {
-			t.Errorf("Rsqrt(%v) = %v, want %v", x, got, want)
-		}
-	}
-}
 
 func randomSet(rng *rand.Rand, n int, span float64) *Source {
 	s := &Source{}
@@ -56,38 +12,6 @@ func randomSet(rng *rand.Rand, n int, span float64) *Source {
 		s.Append(span*rng.Float64(), span*rng.Float64(), span*rng.Float64(), rng.Float64()+0.5)
 	}
 	return s
-}
-
-func TestAccelCutoffFastMatchesScalar(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	src := randomSet(rng, 137, 1.0)
-	tgt := randomSet(rng, 29, 1.0)
-	rcut, eps2, g := 0.3, 1e-8, 1.0
-
-	n := tgt.Len()
-	ax1 := make([]float64, n)
-	ay1 := make([]float64, n)
-	az1 := make([]float64, n)
-	ax2 := make([]float64, n)
-	ay2 := make([]float64, n)
-	az2 := make([]float64, n)
-
-	n1 := AccelCutoff(tgt.X, tgt.Y, tgt.Z, src, g, rcut, eps2, ax1, ay1, az1)
-	n2 := AccelCutoffFast(tgt.X, tgt.Y, tgt.Z, src, g, rcut, eps2, ax2, ay2, az2)
-	if n1 != n2 {
-		t.Fatalf("interaction counts differ: %d vs %d", n1, n2)
-	}
-	if n1 != uint64(137*29) {
-		t.Fatalf("interaction count = %d, want %d", n1, 137*29)
-	}
-	for i := 0; i < n; i++ {
-		for _, p := range [][2]float64{{ax1[i], ax2[i]}, {ay1[i], ay2[i]}, {az1[i], az2[i]}} {
-			scale := math.Max(1, math.Abs(p[0]))
-			if math.Abs(p[0]-p[1])/scale > 1e-6 {
-				t.Fatalf("i=%d: scalar %v vs fast %v", i, p[0], p[1])
-			}
-		}
-	}
 }
 
 func TestAccelCutoffZeroBeyondRcut(t *testing.T) {
@@ -101,18 +25,6 @@ func TestAccelCutoffZeroBeyondRcut(t *testing.T) {
 	AccelCutoff([]float64{rcut * 1.001}, []float64{0}, []float64{0}, src, 1, rcut, 0, ax, ay, az)
 	if ax[0] != 0 || ay[0] != 0 || az[0] != 0 {
 		t.Errorf("force beyond rcut = (%v,%v,%v), want 0", ax[0], ay[0], az[0])
-	}
-	// And the fast kernel agrees (pad to 4 targets).
-	x := []float64{rcut * 1.001, rcut * 2, rcut * 5, rcut * 1.0001}
-	z4 := make([]float64, 4)
-	ax4 := make([]float64, 4)
-	ay4 := make([]float64, 4)
-	az4 := make([]float64, 4)
-	AccelCutoffFast(x, z4, z4, src, 1, rcut, 1e-20, ax4, ay4, az4)
-	for i := range ax4 {
-		if ax4[i] != 0 || ay4[i] != 0 || az4[i] != 0 {
-			t.Errorf("fast kernel force beyond rcut at i=%d: (%v,%v,%v)", i, ax4[i], ay4[i], az4[i])
-		}
 	}
 }
 
@@ -226,42 +138,6 @@ func TestSourceResetAppend(t *testing.T) {
 	s.Append(9, 9, 9, 9)
 	if s.Len() != 1 || s.X[0] != 9 {
 		t.Fatalf("Append after Reset broken: %+v", s)
-	}
-}
-
-func TestCutoffWProperty(t *testing.T) {
-	// cutoffW(r², 2/rcut) must equal g(2r/rcut)/r³ for r in (0, rcut).
-	f := func(raw float64) bool {
-		r := 0.01 + math.Abs(math.Mod(raw, 0.99))
-		rcut := 1.0
-		got := cutoffW(r*r, 2/rcut, true)
-		want := GP3M(2*r/rcut) / (r * r * r)
-		return math.Abs(got-want) <= 1e-6*math.Max(1, math.Abs(want))
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestAccelCutoffPhantomMatchesScalar(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	src := randomSet(rng, 101, 1.0)
-	tgt := randomSet(rng, 24, 1.0)
-	rcut, eps2 := 0.3, 1e-8
-	n := tgt.Len()
-	a1 := make([]float64, n)
-	b1 := make([]float64, n)
-	c1 := make([]float64, n)
-	a2 := make([]float64, n)
-	b2 := make([]float64, n)
-	c2 := make([]float64, n)
-	AccelCutoff(tgt.X, tgt.Y, tgt.Z, src, 1, rcut, eps2, a1, b1, c1)
-	AccelCutoffPhantom(tgt.X, tgt.Y, tgt.Z, src, 1, rcut, eps2, a2, b2, c2)
-	for i := 0; i < n; i++ {
-		// The ≈24-bit rsqrt bounds the relative error near 1e-6.
-		if math.Abs(a1[i]-a2[i]) > 1e-5*(1+math.Abs(a1[i])) {
-			t.Fatalf("phantom kernel differs at %d: %v vs %v", i, a1[i], a2[i])
-		}
 	}
 }
 

@@ -3,9 +3,9 @@ package ppkern
 import "math"
 
 // Single-precision fast reciprocal square root for the float32 kernel
-// family. Unlike the float64 Rsqrt (which emulates HPC-ACE's frsqrta with a
-// 512-entry table), the float32 seed uses the classic bit-trick
-// approximation followed by one Newton step — no table, no Ldexp, nothing
+// family — the software stand-in for HPC-ACE's frsqrta (an approximate
+// inverse square root with 8-bit accuracy, §II-A). The seed uses the classic
+// bit-trick approximation followed by one Newton step — no table, nothing
 // the compiler cannot keep in registers inside the force loop. The seed
 // reaches ≈9-bit accuracy, and a single third-order (Householder) step
 //

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -14,6 +15,7 @@ import (
 	"greem/internal/analysis"
 	"greem/internal/snapshot"
 	"greem/internal/store"
+	"greem/internal/telemetry"
 )
 
 // gatedGet passes store calls through, except that while armed the first
@@ -249,6 +251,20 @@ func TestServeE2E(t *testing.T) {
 	} {
 		if !strings.Contains(metrics, want) {
 			t.Errorf("metrics missing %q", want)
+		}
+	}
+	// The daemon integrates on the production pipeline: only an overlapped
+	// PM‖PP window sets the critical-path gauge (hidden seconds can be 0 on a
+	// 1-CPU host), and only the LET exchange walks nodes.
+	for _, name := range []string{"greem_overlap_critical_path_seconds", telemetry.MetricLETNodeVisits} {
+		var v float64
+		for _, line := range strings.Split(metrics, "\n") {
+			if strings.HasPrefix(line, name+"{") && strings.Contains(line, `job="`+info.ID+`"`) {
+				v, _ = strconv.ParseFloat(line[strings.LastIndexByte(line, ' ')+1:], 64)
+			}
+		}
+		if v <= 0 {
+			t.Errorf("job metric %s = %v, want > 0", name, v)
 		}
 	}
 

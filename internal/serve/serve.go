@@ -189,7 +189,7 @@ func simConfigFromSpec(spec JobSpec) (cfg sim.Config, model *cosmo.Model, aStart
 	aEnd = cosmo.ScaleFactor(spec.ZEnd)
 	cfg = sim.Config{
 		L: l, G: g, NMesh: spec.NMesh, Workers: spec.Workers,
-		Theta: spec.Theta, Eps2: 1e-8, FastKernel: true, LETExchange: true,
+		Theta: spec.Theta, Eps2: 1e-8,
 		Grid: grid, DT: (aEnd - aStart) / float64(spec.Steps),
 		Stepper: model, Time: aStart, DeterministicCost: true,
 	}

@@ -61,17 +61,17 @@ func boxDistPeriodic(alo, ahi, blo, bhi vec.V3, l float64) float64 {
 
 // exchangeGhosts ships to every near rank the boundary sources lying within
 // rcut of that rank's domain, shifted into its frame, and returns the sources
-// received. With Config.LETExchange set the local tree lt is walked once per
-// neighbour, shipping pruned monopoles where the opening criterion allows
-// (GreeM's locally-essential-tree exchange); otherwise every local particle
-// is scanned against every near rank and raw particles ship (lt is ignored).
+// received: the local tree lt is walked once per neighbour, shipping pruned
+// monopoles where the opening criterion allows (GreeM's locally-essential-
+// tree exchange). Under the raw-ghost oracle every local particle is scanned
+// against every near rank instead and raw particles ship (lt is ignored).
 // Collective; the returned slice is owned by the Sim and valid until the
 // next exchange.
 func (s *Sim) exchangeGhosts(lt *tree.Tree) []ghost {
-	if s.cfg.LETExchange {
-		return s.exchangeGhostsLET(lt)
+	if s.oracle.rawGhosts {
+		return s.exchangeGhostsRaw()
 	}
-	return s.exchangeGhostsRaw()
+	return s.exchangeGhostsLET(lt)
 }
 
 // stagedSend returns the per-destination staging buffers, truncated to
@@ -86,8 +86,8 @@ func (s *Sim) stagedSend(p int) [][]ghost {
 	return s.ghostSend
 }
 
-// exchangeGhostsRaw is the particle-ghost baseline (and the LET path's
-// parity oracle): an O(n·p_near) scan shipping raw particles.
+// exchangeGhostsRaw is the LET exchange's parity oracle: an O(n·p_near) scan
+// shipping raw particles. Reached only through the oracle hook.
 func (s *Sim) exchangeGhostsRaw() []ghost {
 	sp := s.rec.Start(telemetry.PhasePPComm)
 	defer sp.End()

@@ -62,7 +62,6 @@ func FuzzGhostSelection(f *testing.F) {
 
 		cfg := baseConfig(grid)
 		cfg.Rcut = rcut
-		cfg.LETExchange = letOn
 		bound := rcut
 		if letOn {
 			bound = rcut / (1 - math.Sqrt(3)*cfg.Theta)
@@ -73,11 +72,10 @@ func FuzzGhostSelection(f *testing.F) {
 			if err != nil {
 				panic(err)
 			}
-			var lt *tree.Tree
-			if letOn {
-				if lt, err = tree.Build(s.x, s.y, s.z, s.m, tree.Options{LeafCap: cfg.LeafCap}); err != nil {
-					panic(err)
-				}
+			s.oracle.rawGhosts = !letOn
+			lt, err := tree.Build(s.x, s.y, s.z, s.m, tree.Options{LeafCap: cfg.LeafCap})
+			if err != nil {
+				panic(err)
 			}
 			ghosts := s.exchangeGhosts(lt)
 			lo, hi := s.bounds()

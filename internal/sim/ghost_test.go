@@ -11,7 +11,7 @@ import (
 func TestGhostExchangeShiftsAndSelection(t *testing.T) {
 	// Both exchange paths must produce the identical selection here: at four
 	// particles every LET walk bottoms out in leaves, so the per-particle
-	// periodic rcut filter is the whole story in either mode.
+	// periodic rcut filter is the whole story on either path.
 	for _, let := range []bool{false, true} {
 		t.Run(map[bool]string{false: "raw", true: "let"}[let], func(t *testing.T) {
 			testGhostExchangeShiftsAndSelection(t, let)
@@ -33,7 +33,6 @@ func testGhostExchangeShiftsAndSelection(t *testing.T, let bool) {
 		cfg := baseConfig([3]int{2, 1, 1})
 		cfg.NMesh = 16
 		cfg.Rcut = 0.1
-		cfg.LETExchange = let
 		var mine []Particle
 		if c.Rank() == 0 {
 			mine = parts
@@ -42,11 +41,10 @@ func testGhostExchangeShiftsAndSelection(t *testing.T, let bool) {
 		if err != nil {
 			panic(err)
 		}
-		var lt *tree.Tree
-		if let {
-			if lt, err = tree.Build(s.x, s.y, s.z, s.m, tree.Options{LeafCap: cfg.LeafCap}); err != nil {
-				panic(err)
-			}
+		s.oracle.rawGhosts = !let
+		lt, err := tree.Build(s.x, s.y, s.z, s.m, tree.Options{LeafCap: cfg.LeafCap})
+		if err != nil {
+			panic(err)
 		}
 		ghosts := s.exchangeGhosts(lt)
 		if c.Rank() == 0 {

@@ -95,7 +95,6 @@ func TestDistFoFParity(t *testing.T) {
 	const steps = 4
 	cfg := baseConfig([3]int{2, 2, 2})
 	cfg.DeterministicCost = true
-	cfg.LETExchange = true
 	cfg.InSituEvery = 2
 	cfg.InSituFinalStep = steps
 	cfg.InSituLL = 0.03

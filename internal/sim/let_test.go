@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"greem/internal/ewald"
 	"greem/internal/mpi"
 )
 
@@ -33,33 +32,6 @@ func plummerParticles(seed int64, n int, scale float64) []Particle {
 	return out
 }
 
-// letRunForces computes the total force (PM+PP) for every particle on p
-// ranks and returns it indexed by particle ID.
-func letRunForces(t *testing.T, parts []Particle, cfg Config, p int) (ax, ay, az []float64) {
-	t.Helper()
-	n := len(parts)
-	ax = make([]float64, n)
-	ay = make([]float64, n)
-	az = make([]float64, n)
-	err := mpi.Run(p, func(c *mpi.Comm) {
-		s, err := New(c, cfg, sliceFor(parts, c.Rank(), p))
-		if err != nil {
-			panic(err)
-		}
-		s.ComputeForces()
-		c.Barrier()
-		for i := 0; i < s.NumLocal(); i++ {
-			fx, fy, fz := s.AccelFor(i)
-			id := s.ID(i)
-			ax[id], ay[id], az[id] = fx, fy, fz
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return ax, ay, az
-}
-
 func rmsDiff(ax, ay, az, bx, by, bz []float64) float64 {
 	var e2, r2 float64
 	for i := range ax {
@@ -70,49 +42,21 @@ func rmsDiff(ax, ay, az, bx, by, bz []float64) float64 {
 	return math.Sqrt(e2 / r2)
 }
 
-// TestLETForceParity: the LET exchange and the raw particle-ghost exchange
-// must agree within the θ-error bound — the same tolerance sim_test applies
-// to the parallel-vs-serial tree decomposition, since the LET monopoles are
-// accepted by the identical opening criterion evaluated against a distance
-// lower bound.
-func TestLETForceParity(t *testing.T) {
-	for _, tc := range []struct {
-		name  string
-		parts []Particle
-	}{
-		{"uniform", makeParticles(5, 300, 0)},
-		{"clustered", plummerParticles(6, 300, 0.08)},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			cfg := baseConfig([3]int{2, 2, 2})
-			cfg.LETExchange = false
-			rx, ry, rz := letRunForces(t, tc.parts, cfg, 8)
-			cfg.LETExchange = true
-			lx, ly, lz := letRunForces(t, tc.parts, cfg, 8)
-			rms := rmsDiff(lx, ly, lz, rx, ry, rz)
-			t.Logf("LET vs raw ghost RMS: %.3e", rms)
-			if rms > 0.01 {
-				t.Errorf("LET forces diverge from particle-ghost oracle: RMS %v", rms)
-			}
-		})
-	}
-}
-
 // letGhostLedger steps a world once and returns the ghost-exchange alltoall
 // ledger group (bytes recorded under TrafficLabelGhosts at world rank 0).
-func letGhostLedger(t *testing.T, parts []Particle, letOn bool, workers int) mpi.OpTotals {
+func letGhostLedger(t *testing.T, parts []Particle, raw bool, workers int) mpi.OpTotals {
 	t.Helper()
 	var tr *mpi.Traffic
 	err := mpi.Run(8, func(c *mpi.Comm) {
 		cfg := baseConfig([3]int{2, 2, 2})
 		cfg.Theta = 0.5 // the production opening angle, where pruning pays
 		cfg.DeterministicCost = true
-		cfg.LETExchange = letOn
 		cfg.Workers = workers
 		s, err := New(c, cfg, sliceFor(parts, c.Rank(), 8))
 		if err != nil {
 			panic(err)
 		}
+		s.oracle.rawGhosts = raw
 		if err := s.Step(); err != nil {
 			panic(err)
 		}
@@ -130,14 +74,14 @@ func letGhostLedger(t *testing.T, parts []Particle, letOn bool, workers int) mpi
 
 // TestGhostTrafficLETvsRaw is the byte-exact traffic regression: on a
 // clustered distribution the LET exchange must ship strictly fewer alltoall
-// bytes than the particle-ghost baseline, and under DeterministicCost both
-// paths' ledgers must reproduce byte-exactly run-to-run.
+// bytes than the raw-ghost oracle, and under DeterministicCost both paths'
+// ledgers must reproduce byte-exactly run-to-run.
 func TestGhostTrafficLETvsRaw(t *testing.T) {
 	parts := plummerParticles(9, 3000, 0.06)
-	raw1 := letGhostLedger(t, parts, false, 0)
-	raw2 := letGhostLedger(t, parts, false, 0)
-	let1 := letGhostLedger(t, parts, true, 0)
-	let2 := letGhostLedger(t, parts, true, 0)
+	raw1 := letGhostLedger(t, parts, true, 0)
+	raw2 := letGhostLedger(t, parts, true, 0)
+	let1 := letGhostLedger(t, parts, false, 0)
+	let2 := letGhostLedger(t, parts, false, 0)
 
 	if raw1 != raw2 {
 		t.Errorf("raw ghost ledger not reproducible: %+v vs %+v", raw1, raw2)
@@ -155,109 +99,6 @@ func TestGhostTrafficLETvsRaw(t *testing.T) {
 		t.Errorf("LET exchange must reduce ghost bytes on a clustered run: LET %d B vs raw %d B", let1.Bytes, raw1.Bytes)
 	}
 	t.Logf("ghost alltoall bytes: raw %d, LET %d (%.1f%%)", raw1.Bytes, let1.Bytes, 100*float64(let1.Bytes)/float64(raw1.Bytes))
-}
-
-// TestLETForcesAgainstEwald is the multi-rank force-accuracy oracle: total
-// forces from the LET-exchange TreePM on 8 ranks must stay within the
-// facade-level tolerance of the exact Ewald reference at Workers ∈ {1, 7},
-// with bit-identical results across worker counts, and survive a
-// checkpoint-style State/Resume round-trip bit-identically.
-func TestLETForcesAgainstEwald(t *testing.T) {
-	n := 200
-	parts := makeParticles(12, n, 0)
-	cfg := baseConfig([3]int{2, 2, 2})
-	cfg.LETExchange = true
-	cfg.DeterministicCost = true
-
-	type run struct {
-		ax, ay, az []float64 // post-step forces by ID
-		px, py, pz []float64 // post-step positions by ID
-		states     []State
-	}
-	stepAndCapture := func(workers int) run {
-		r := run{
-			ax: make([]float64, n), ay: make([]float64, n), az: make([]float64, n),
-			px: make([]float64, n), py: make([]float64, n), pz: make([]float64, n),
-			states: make([]State, 8),
-		}
-		c := cfg
-		c.Workers = workers
-		err := mpi.Run(8, func(cm *mpi.Comm) {
-			s, err := New(cm, c, sliceFor(parts, cm.Rank(), 8))
-			if err != nil {
-				panic(err)
-			}
-			if err := s.Step(); err != nil {
-				panic(err)
-			}
-			s.ComputeForces()
-			cm.Barrier()
-			r.states[cm.Rank()] = s.State()
-			for i := 0; i < s.NumLocal(); i++ {
-				id := s.ID(i)
-				r.ax[id], r.ay[id], r.az[id] = s.AccelFor(i)
-				p := s.Particles()[i]
-				r.px[id], r.py[id], r.pz[id] = p.X, p.Y, p.Z
-			}
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r
-	}
-
-	w1 := stepAndCapture(1)
-	w7 := stepAndCapture(7)
-	for i := 0; i < n; i++ {
-		if w1.ax[i] != w7.ax[i] || w1.ay[i] != w7.ay[i] || w1.az[i] != w7.az[i] {
-			t.Fatalf("forces differ between Workers=1 and Workers=7 at particle %d", i)
-		}
-	}
-
-	// Exact periodic reference at the post-step positions.
-	ew := ewald.New(1, 1)
-	m := make([]float64, n)
-	for i := range m {
-		m[i] = 1.0 / float64(n)
-	}
-	ex := make([]float64, n)
-	ey := make([]float64, n)
-	ez := make([]float64, n)
-	ew.Accel(w1.px, w1.py, w1.pz, m, ex, ey, ez)
-	rms := rmsDiff(w1.ax, w1.ay, w1.az, ex, ey, ez)
-	t.Logf("LET TreePM vs Ewald RMS: %.3e", rms)
-	if rms > 0.1 {
-		t.Errorf("LET forces diverge from Ewald reference: RMS %v", rms)
-	}
-
-	// Resume from the captured states in a fresh world: forces must come back
-	// bit-identical (the LET path is part of the restart contract).
-	rax := make([]float64, n)
-	ray := make([]float64, n)
-	raz := make([]float64, n)
-	err := mpi.Run(8, func(cm *mpi.Comm) {
-		c := cfg
-		c.Workers = 1
-		s, err := Resume(cm, c, w1.states[cm.Rank()])
-		if err != nil {
-			panic(err)
-		}
-		s.ComputeForces()
-		cm.Barrier()
-		for i := 0; i < s.NumLocal(); i++ {
-			id := s.ID(i)
-			rax[id], ray[id], raz[id] = s.AccelFor(i)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < n; i++ {
-		if rax[i] != w1.ax[i] || ray[i] != w1.ay[i] || raz[i] != w1.az[i] {
-			t.Fatalf("resumed forces differ at particle %d: (%v,%v,%v) vs (%v,%v,%v)",
-				i, rax[i], ray[i], raz[i], w1.ax[i], w1.ay[i], w1.az[i])
-		}
-	}
 }
 
 // TestAssembleSourcesAllocs asserts the deduplicated ghost + source-set
@@ -307,11 +148,11 @@ func TestGhostStatsCounters(t *testing.T) {
 		var stats [8]GhostStats
 		err := mpi.Run(8, func(c *mpi.Comm) {
 			cfg := baseConfig([3]int{2, 2, 2})
-			cfg.LETExchange = letOn
 			s, err := New(c, cfg, sliceFor(parts, c.Rank(), 8))
 			if err != nil {
 				panic(err)
 			}
+			s.oracle.rawGhosts = !letOn
 			s.ComputeForces()
 			c.Barrier()
 			stats[c.Rank()] = s.GhostStats()

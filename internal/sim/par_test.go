@@ -7,67 +7,6 @@ import (
 	"greem/internal/telemetry"
 )
 
-// stepState runs nsteps full steps at the given worker count and returns the
-// global position/velocity state indexed by particle ID. Single rank: the
-// sampling domain decomposition apportions sample counts by *measured*
-// wall-clock cost, so multi-rank state is not run-to-run reproducible by
-// design (cost-adaptive, timing-dependent) — on one rank every sample lands
-// on rank 0 and the whole step is deterministic, which isolates exactly what
-// the worker pool must preserve: the compute kernels.
-func stepState(t *testing.T, workers, nsteps int) (x, y, z, vx, vy, vz []float64) {
-	t.Helper()
-	const n = 150
-	parts := makeParticles(17, n, 0.05)
-	x = make([]float64, n)
-	y = make([]float64, n)
-	z = make([]float64, n)
-	vx = make([]float64, n)
-	vy = make([]float64, n)
-	vz = make([]float64, n)
-	cfg := baseConfig([3]int{1, 1, 1})
-	cfg.Workers = workers
-	err := mpi.Run(1, func(c *mpi.Comm) {
-		s, err := New(c, cfg, parts)
-		if err != nil {
-			panic(err)
-		}
-		defer s.Close()
-		for k := 0; k < nsteps; k++ {
-			if err := s.Step(); err != nil {
-				panic(err)
-			}
-		}
-		for _, p := range s.Particles() {
-			x[p.ID], y[p.ID], z[p.ID] = p.X, p.Y, p.Z
-			vx[p.ID], vy[p.ID], vz[p.ID] = p.VX, p.VY, p.VZ
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return
-}
-
-// TestStepWorkersBitIdentical: a full multi-step integration — PM pipeline,
-// tree forces, kicks, drifts, domain decompositions — must produce
-// bit-identical positions and velocities at Workers ∈ {1, 2, 7}.
-func TestStepWorkersBitIdentical(t *testing.T) {
-	const steps = 2
-	rx, ry, rz, rvx, rvy, rvz := stepState(t, 1, steps)
-	for _, w := range []int{2, 7} {
-		x, y, z, vx, vy, vz := stepState(t, w, steps)
-		for i := range x {
-			if x[i] != rx[i] || y[i] != ry[i] || z[i] != rz[i] {
-				t.Fatalf("workers=%d: position of particle %d = (%v, %v, %v), serial (%v, %v, %v)",
-					w, i, x[i], y[i], z[i], rx[i], ry[i], rz[i])
-			}
-			if vx[i] != rvx[i] || vy[i] != rvy[i] || vz[i] != rvz[i] {
-				t.Fatalf("workers=%d: velocity of particle %d differs from serial", w, i)
-			}
-		}
-	}
-}
-
 // TestPoolTelemetryRecorded: with a parallel pool the per-phase busy
 // counters must accumulate (they feed the imb(intra) column of tableone),
 // and the serial run must leave them untouched.

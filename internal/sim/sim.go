@@ -47,7 +47,11 @@ func (StaticStepper) KickFactor(t, dt float64) float64 { return dt }
 // DriftFactor returns dt.
 func (StaticStepper) DriftFactor(t, dt float64) float64 { return dt }
 
-// Config parameterizes a distributed simulation.
+// Config parameterizes a distributed simulation. It carries the paper's axes
+// (mesh layout, opening angle, group size, substeps) and nothing that selects
+// a pipeline: every Sim runs the one production path — r2c PM solve,
+// locally-essential-tree ghost exchange, float32 PP kernel, PM solve
+// overlapped with the PP walk (§II-A, §II-B).
 type Config struct {
 	L, G float64 // box side, gravitational constant
 
@@ -63,16 +67,10 @@ type Config struct {
 	Rcut   float64 // 0 ⇒ 3·L/NMesh
 
 	// Tree configuration.
-	Theta      float64 // 0 ⇒ 0.5
-	Ni         int     // group size cap; 0 ⇒ 100
-	Eps2       float64
-	LeafCap    int // 0 ⇒ 16
-	FastKernel bool
-	// Float32Kernel evaluates the PP cutoff kernel in single precision with
-	// group-center-relative interaction batches (tree.ForceOpts.Float32Kernel
-	// — the Phantom-GRAPE arrangement of §II-A). The float64 kernel remains
-	// the parity oracle; the cmd drivers enable float32 by default.
-	Float32Kernel bool
+	Theta   float64 // 0 ⇒ 0.5
+	Ni      int     // group size cap; 0 ⇒ 100
+	Eps2    float64
+	LeafCap int // 0 ⇒ 16
 	// Workers sizes the rank's intra-node worker pool (the OpenMP-style
 	// hybrid of the paper): the per-rank tree traversal, every PM hot loop
 	// (TSC assignment, FFT batches, convolution, differencing,
@@ -81,26 +79,6 @@ type Config struct {
 	// semantics (0 ⇒ serial, par.Auto ⇒ GOMAXPROCS capped per rank).
 	// Results are bit-identical to serial for any worker count.
 	Workers int
-
-	// OverlapPMPP runs the step cycle's PM solves concurrently with the PP
-	// pipeline wherever both consume the same positions (GreeM's overlap:
-	// "the communication for the PM part is overlapped with the force
-	// calculation of the PP part", §II-B): the PM comm+FFT stage runs on a
-	// background goroutine over a duplicated communicator while the tree
-	// walk proceeds, joined before the closing long-range kick. Forces are
-	// bit-identical to the sequential path (which remains the parity
-	// oracle) at any worker count. The cmd drivers enable it by default.
-	OverlapPMPP bool
-
-	// LETExchange selects the locally-essential-tree ghost exchange (GreeM's
-	// structure-aware boundary exchange): the local tree is walked once per
-	// near neighbour, shipping pruned node monopoles where the opening
-	// criterion size/dist < θ allows and raw leaf particles where the
-	// neighbour's box is close. False keeps the particle-ghost baseline — an
-	// O(n·p_near) scan shipping every nearby particle raw — which serves as
-	// the parity/error oracle for the LET path (both agree within the θ-error
-	// bound; see TestLETForceParity). The cmd drivers enable LET by default.
-	LETExchange bool
 
 	// Domain decomposition.
 	Grid        [3]int // divisions per axis; product must equal comm size
@@ -204,12 +182,17 @@ type Sim struct {
 	geo     *domain.Geometry
 	history []*domain.Geometry
 	pm      *pmpar.Solver
-	// pmComm is the duplicated communicator every PM solver runs on (both
-	// overlap modes, so the collective schedule and traffic-ledger comm ids
-	// are mode-independent): with OverlapPMPP the background solve's
-	// collectives are in flight while PP ghost/LET traffic uses the world
-	// comm, and per-comm sequence spaces keep the streams from interleaving.
+	// pmComm is the duplicated communicator every PM solver runs on: the
+	// background solve's collectives are in flight while PP ghost/LET traffic
+	// uses the world comm, and per-comm sequence spaces keep the streams from
+	// interleaving.
 	pmComm *mpi.Comm
+
+	// oracle switches single layers back to their reference implementation.
+	// Unexported and zero in every Sim a caller can build: only in-package
+	// tests set it (the differential harness and the ghost-exchange tests),
+	// between New/Resume and the first force evaluation.
+	oracle oracle
 
 	// Local particles (SoA).
 	x, y, z    []float64
@@ -304,6 +287,14 @@ type Sim struct {
 	insituTotM  float64
 	insituNp    int64
 	insituLast  *InSituResult
+}
+
+// oracle selects the reference implementation of one layer per field; the
+// differential harness pins the production pipeline against them.
+type oracle struct {
+	rawGhosts   bool // exchangeGhostsRaw: every particle within rcut of a neighbour, shipped raw
+	sequential  bool // computePM(); computePP() in program order, nothing overlapped
+	float64Walk bool // tree.ForceOpts.Float64Walk
 }
 
 // PhaseIntegKick labels the integrator kick loops' pool busy/idle counters

@@ -620,16 +620,24 @@ func TestTableIShapeAtLaptopScale(t *testing.T) {
 	// phase of the step, and within PP it dwarfs construction and local
 	// bookkeeping — on any machine, at any scale. (Traversal and kernel are
 	// machine-dependent in ratio; both must dominate construction.)
+	//
+	// The claim is about the paper's regime — clustered particles, long
+	// interaction lists — and about the machine, not one rank's scheduling
+	// luck, so the set is a Plummer sphere and the phase seconds are summed
+	// over ranks. The float32 SIMD kernel is 12.6× faster than the float64
+	// unrolled loop this test used to run (PR 7: 1.01 vs 12.76
+	// ns/interaction), which on a uniform 6000-particle set left a per-rank
+	// margin of ~5× — less than one preemption inside a construction span on
+	// a timeshared host. Measured here: summed ratio ≥ 3.5 over 80 runs.
 	if testing.Short() {
 		t.Skip("multi-step run")
 	}
-	n := 6000
-	parts := makeParticles(40, n, 0.02)
+	parts := plummerParticles(40, 6000, 0.05)
 	cfg := baseConfig([3]int{2, 2, 1})
 	cfg.NMesh = 16
 	cfg.Theta = 0.5
 	cfg.Ni = 100
-	cfg.FastKernel = true
+	var work, constr, local [4]float64 // per-rank phase seconds
 	err := mpi.Run(4, func(c *mpi.Comm) {
 		s, err := New(c, cfg, sliceFor(parts, c.Rank(), 4))
 		if err != nil {
@@ -641,19 +649,19 @@ func TestTableIShapeAtLaptopScale(t *testing.T) {
 			}
 		}
 		tm := s.Timers()
-		ppWork := tm.PPForce + tm.PPTraverse
-		if ppWork <= tm.PPTreeConstr {
-			t.Errorf("rank %d: PP force+traversal (%v) should dominate construction (%v)",
-				c.Rank(), ppWork, tm.PPTreeConstr)
-		}
-		if ppWork <= tm.PPLocalTree {
-			t.Errorf("rank %d: PP work below local bookkeeping", c.Rank())
-		}
 		if tm.PPForce <= 0 {
 			t.Errorf("rank %d: no kernel time recorded", c.Rank())
 		}
+		work[c.Rank()], constr[c.Rank()], local[c.Rank()] = tm.PPForce+tm.PPTraverse, tm.PPTreeConstr, tm.PPLocalTree
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	sum := func(v [4]float64) float64 { return v[0] + v[1] + v[2] + v[3] }
+	if sum(work) <= sum(constr) {
+		t.Errorf("PP force+traversal (%v) should dominate construction (%v)", work, constr)
+	}
+	if sum(work) <= sum(local) {
+		t.Errorf("PP work (%v) below local bookkeeping (%v)", work, local)
 	}
 }

@@ -18,22 +18,18 @@ import (
 func (s *Sim) buildSourceTrees() (src, tgt *tree.Tree, nGhosts int) {
 	opts := tree.Options{LeafCap: s.cfg.LeafCap}
 
-	// The LET exchange walks the local tree, so in that mode the target tree
-	// is built first and doubles as the walk input. The raw exchange needs no
-	// tree; its target tree is built after, and only when ghosts exist.
-	var lt *tree.Tree
-	var err error
-	if s.cfg.LETExchange {
-		sp := s.rec.Start(telemetry.PhasePPTreeConstr)
-		if lt, err = s.tgtBuild.Rebuild(s.x, s.y, s.z, s.m, opts); err != nil {
-			panic(err)
-		}
-		sp.End()
+	// The LET exchange walks the local tree, so the target tree is built
+	// first and doubles as the walk input.
+	sp := s.rec.Start(telemetry.PhasePPTreeConstr)
+	lt, err := s.tgtBuild.Rebuild(s.x, s.y, s.z, s.m, opts)
+	if err != nil {
+		panic(err)
 	}
+	sp.End()
 	ghosts := s.exchangeGhosts(lt)
 	nGhosts = len(ghosts)
 
-	sp := s.rec.Start(telemetry.PhasePPLocalTree)
+	sp = s.rec.Start(telemetry.PhasePPLocalTree)
 	s.assembleSources(ghosts)
 	sp.End()
 
@@ -44,11 +40,6 @@ func (s *Sim) buildSourceTrees() (src, tgt *tree.Tree, nGhosts int) {
 	}
 	if nGhosts == 0 {
 		return src, src, 0
-	}
-	if lt == nil {
-		if lt, err = s.tgtBuild.Rebuild(s.x, s.y, s.z, s.m, opts); err != nil {
-			panic(err)
-		}
 	}
 	return src, lt, nGhosts
 }

@@ -33,7 +33,7 @@ func (s *Sim) computePM() {
 // before returning. Both stages read the same (frozen) positions and write
 // disjoint accumulators (apx/… vs asx/…), and the PM stages execute exactly
 // the code the sequential Accel runs, so the result is bit-identical to
-// computePM(); computePP() — asserted by the overlap parity tests.
+// computePM(); computePP() — asserted by the differential harness.
 //
 // costEarly preserves the sequential DeterministicCost sequencing: the
 // leading (pre-kick) window replaces computePM-then-computePP, where the PM
@@ -128,8 +128,8 @@ func (s *Sim) forceOpts(periodic bool) tree.ForceOpts {
 		G: s.cfg.G, Theta: s.cfg.Theta, Eps2: s.cfg.Eps2,
 		Cutoff: true, Rcut: s.cfg.Rcut,
 		Periodic: periodic, L: s.cfg.L,
-		FastKernel: s.cfg.FastKernel, Float32Kernel: s.cfg.Float32Kernel,
-		Workers: s.cfg.Workers,
+		Float64Walk: s.oracle.float64Walk,
+		Workers:     s.cfg.Workers,
 	}
 }
 
@@ -203,12 +203,12 @@ func (s *Sim) notePool(busy, idle *telemetry.Counter) {
 // short-range force), then the long-range force and the closing half kick —
 // the multiple-stepsize symplectic scheme of Duncan, Levison & Lee (1998)
 // that the paper adopts ("one step = a cycle of PM and two cycles of PP and
-// domain decomposition"). With Config.OverlapPMPP the two points where a PM
-// cycle and a PP cycle consume the same positions — the leading stale-force
-// pair and the trailing PM with the final substep's PP — run as overlapped
-// windows (computePMPP), hiding the PM solve behind the tree walk; forces
-// and trajectories are bit-identical either way. Collective over the world
-// communicator.
+// domain decomposition"). The two points where a PM cycle and a PP cycle
+// consume the same positions — the leading stale-force pair and the trailing
+// PM with the final substep's PP — run as overlapped windows (computePMPP),
+// hiding the PM solve behind the tree walk (§II-B); forces and trajectories
+// are bit-identical to the sequential order the oracle keeps. Collective
+// over the world communicator.
 func (s *Sim) Step() error {
 	s.comm.FaultPoint("sim/step")
 	dt := s.cfg.DT
@@ -216,7 +216,7 @@ func (s *Sim) Step() error {
 	delta := dt / float64(sub)
 	t0 := s.time
 
-	if s.cfg.OverlapPMPP && !s.pmFresh && !s.ppFresh {
+	if !s.oracle.sequential && !s.pmFresh && !s.ppFresh {
 		s.computePMPP(true)
 	} else {
 		if !s.pmFresh {
@@ -235,7 +235,7 @@ func (s *Sim) Step() error {
 		if err := s.domainDecomposition(); err != nil {
 			return err
 		}
-		if s.cfg.OverlapPMPP && k == sub-1 {
+		if !s.oracle.sequential && k == sub-1 {
 			// Final substep: the trailing PM solve rides behind this PP. An
 			// in-situ-due step arms the spectrum tap here — the solve sees
 			// the step's final positions (only kicks follow).
@@ -249,9 +249,9 @@ func (s *Sim) Step() error {
 	}
 
 	if !s.pmFresh {
-		// The sequential path's trailing solve (always reached: drift
-		// cleared pmFresh and the substep PP passes don't set it); the
-		// in-situ arm rides on whichever trailing solve the mode runs.
+		// The sequential oracle's trailing solve (there always reached:
+		// drift cleared pmFresh and the substep PP passes don't set it);
+		// the in-situ arm rides on whichever trailing solve runs.
 		s.armInSitu()
 		s.computePM()
 	}

@@ -128,7 +128,7 @@ func TestWalkerAccelAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := NewWalker()
-	opt := ForceOpts{G: 1, Theta: 0.5, Eps2: 1e-6, Cutoff: true, Rcut: 0.2, FastKernel: true}
+	opt := ForceOpts{G: 1, Theta: 0.5, Eps2: 1e-6, Cutoff: true, Rcut: 0.2}
 	ax := make([]float64, n)
 	ay := make([]float64, n)
 	az := make([]float64, n)

@@ -582,26 +582,25 @@ type ForceOpts struct {
 	Eps2  float64 // Plummer softening squared
 	// Cutoff enables the TreePM short-range mode with radius Rcut; nodes and
 	// particles beyond Rcut of a group are pruned (their force is the PM's).
+	// The cutoff walk is the production pipeline's Phantom-GRAPE arrangement
+	// (§II-A): interaction lists are emitted as float32 SoA batches with
+	// positions *relative to the group center*, so every coordinate the
+	// kernel sees is bounded by Rcut + the group radius and float32
+	// resolution is spent where the force lives; per-target partials still
+	// accumulate in float64. The open (pure-tree) walk has no distance bound,
+	// so it stays float64, as does the quadrupole ablation.
 	Cutoff bool
 	Rcut   float64
 	// Periodic enables minimum-image traversal over a cube of side L
 	// (serial whole-box mode; parallel mode passes pre-shifted ghosts).
 	Periodic bool
 	L        float64
-	// FastKernel selects the unrolled Phantom-GRAPE style kernel (requires
-	// Eps2 > 0 when groups appear in their own lists, which they do).
-	FastKernel bool
-	// Float32Kernel evaluates the cutoff kernel in single precision, the
-	// Phantom-GRAPE arrangement (§II-A): the walk emits interaction lists
-	// into float32 SoA batches with positions *relative to the group
-	// center*, so every coordinate the kernel sees is bounded by
-	// Rcut + the group radius and float32 resolution is spent where the
-	// force lives; per-target partials still accumulate in float64. Honored
-	// only in cutoff mode — the open (pure-tree) walk has no distance bound,
-	// so it stays float64, as does the quadrupole ablation. With FastKernel
-	// it selects the SIMD/unrolled float32 kernel; without, the scalar
-	// float32 reference.
-	Float32Kernel bool
+	// Float64Walk evaluates the cutoff walk with the float64 interaction
+	// lists and the scalar ppkern.AccelCutoff instead of the production
+	// float32 batches. It is the tree layer's single reference oracle — the
+	// same collect + kernel code the open-boundary and quadrupole walks run —
+	// and only tests set it (pinned by the knob census in internal/sim).
+	Float64Walk bool
 	// Quadrupole evaluates accepted nodes with monopole+quadrupole moments
 	// instead of monopole only. Requires a source tree built with
 	// Options.Quadrupole, and is only supported in the open (non-cutoff)
@@ -691,9 +690,7 @@ func (w *Walker) AccelGroups(src, tgt *Tree, groups []Group, opt ForceOpts, ax, 
 	if opt.Quadrupole && opt.Cutoff {
 		panic("tree: quadrupole moments are only supported in open (non-cutoff) mode")
 	}
-	// The float32 batch path needs the cutoff's distance bound for its
-	// precision argument; everywhere else the float64 walk stands.
-	if opt.Float32Kernel && opt.Cutoff {
+	if opt.Cutoff && !opt.Float64Walk {
 		return w.accelGroupsF32(src, tgt, groups, opt, ax, ay, az)
 	}
 	var st Stats
@@ -730,11 +727,7 @@ func (w *Walker) AccelGroups(src, tgt *Tree, groups []Group, opt ForceOpts, ax, 
 		// The kernels are the single source of the interaction count
 		// (n × Nj each); the Stats ledger sums their returns.
 		if opt.Cutoff {
-			if opt.FastKernel {
-				st.Interactions += ppkern.AccelCutoffFast(xi, yi, zi, &w.list, opt.G, opt.Rcut, opt.Eps2, w.gax, w.gay, w.gaz)
-			} else {
-				st.Interactions += ppkern.AccelCutoff(xi, yi, zi, &w.list, opt.G, opt.Rcut, opt.Eps2, w.gax, w.gay, w.gaz)
-			}
+			st.Interactions += ppkern.AccelCutoff(xi, yi, zi, &w.list, opt.G, opt.Rcut, opt.Eps2, w.gax, w.gay, w.gaz)
 		} else {
 			st.Interactions += ppkern.AccelPlain(xi, yi, zi, &w.list, opt.G, opt.Eps2, w.gax, w.gay, w.gaz)
 		}
@@ -798,11 +791,7 @@ func (w *Walker) accelGroupsF32(src, tgt *Tree, groups []Group, opt ForceOpts, a
 			w.tiz[k] = float32(tgt.Z[p] - cz)
 		}
 		tKernel := time.Now()
-		if opt.FastKernel {
-			st.Interactions += ppkern.AccelCutoffF32Fast(w.tix, w.tiy, w.tiz, &w.list32, g32, rcut32, eps232, w.gax, w.gay, w.gaz)
-		} else {
-			st.Interactions += ppkern.AccelCutoffF32(w.tix, w.tiy, w.tiz, &w.list32, g32, rcut32, eps232, w.gax, w.gay, w.gaz)
-		}
+		st.Interactions += ppkern.AccelCutoffF32Fast(w.tix, w.tiy, w.tiz, &w.list32, g32, rcut32, eps232, w.gax, w.gay, w.gaz)
 		st.KernelSeconds += time.Since(tKernel).Seconds()
 		for k := 0; k < ni; k++ {
 			orig := tgt.Perm[int(g.Start)+k]

@@ -305,29 +305,6 @@ func TestAccelMomentumConservationClustered(t *testing.T) {
 	}
 }
 
-func TestFastKernelMatchesScalarInTree(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	x, y, z, m := randParticles(rng, 300)
-	tr, _ := Build(x, y, z, m, DefaultOptions())
-	n := len(x)
-	base := ForceOpts{G: 1, Theta: 0.4, Eps2: 1e-8, Cutoff: true, Rcut: 0.2, Periodic: true, L: 1}
-	a1x := make([]float64, n)
-	a1y := make([]float64, n)
-	a1z := make([]float64, n)
-	Accel(tr, tr, 32, base, a1x, a1y, a1z)
-	fast := base
-	fast.FastKernel = true
-	a2x := make([]float64, n)
-	a2y := make([]float64, n)
-	a2z := make([]float64, n)
-	Accel(tr, tr, 32, fast, a2x, a2y, a2z)
-	for i := 0; i < n; i++ {
-		if math.Abs(a1x[i]-a2x[i]) > 1e-5*(1+math.Abs(a1x[i])) {
-			t.Fatalf("fast kernel differs at %d: %v vs %v", i, a1x[i], a2x[i])
-		}
-	}
-}
-
 func BenchmarkTreeBuild10k(b *testing.B) {
 	rng := rand.New(rand.NewSource(10))
 	x, y, z, m := randParticles(rng, 10000)
@@ -347,7 +324,7 @@ func BenchmarkTreeForce10k(b *testing.B) {
 	ax := make([]float64, n)
 	ay := make([]float64, n)
 	az := make([]float64, n)
-	opt := ForceOpts{G: 1, Theta: 0.5, Eps2: 1e-8, Cutoff: true, Rcut: 0.1, Periodic: true, L: 1, FastKernel: true}
+	opt := ForceOpts{G: 1, Theta: 0.5, Eps2: 1e-8, Cutoff: true, Rcut: 0.1, Periodic: true, L: 1}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Accel(tr, tr, 100, opt, ax, ay, az)

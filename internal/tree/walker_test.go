@@ -13,17 +13,16 @@ func cutoffOpts() ForceOpts {
 		G: 1, Theta: 0.5, Eps2: 1e-10,
 		Cutoff: true, Rcut: 3.0 / 32,
 		Periodic: true, L: 1,
-		FastKernel: true,
 	}
 }
 
-// TestFloat32KernelMatchesFloat64InTree runs the full grouped cutoff walk
-// with the float64 kernel and with the float32 batch path on the same tree
-// and asserts the accelerations agree to float32 accuracy relative to the
-// short-range force scale. This is the in-tree parity check for the whole
-// chain: collectF32's group-relative emission, the rebased targets, and the
-// float32 kernel (SIMD where available).
-func TestFloat32KernelMatchesFloat64InTree(t *testing.T) {
+// TestCutoffWalkMatchesFloat64Oracle runs the full grouped cutoff walk on the
+// production float32 batch path and on the float64 oracle (Float64Walk) over
+// the same tree and asserts the accelerations agree to float32 accuracy
+// relative to the short-range force scale. This is the in-tree parity check
+// for the whole chain: collectF32's group-relative emission, the rebased
+// targets, and the float32 kernel (SIMD where available).
+func TestCutoffWalkMatchesFloat64Oracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	x, y, z, m := plummer(rng, 3000, 0.05)
 	tr, err := Build(x, y, z, m, DefaultOptions())
@@ -36,9 +35,10 @@ func TestFloat32KernelMatchesFloat64InTree(t *testing.T) {
 	ax64 := make([]float64, n)
 	ay64 := make([]float64, n)
 	az64 := make([]float64, n)
-	st64 := Accel(tr, tr, 64, opt, ax64, ay64, az64)
+	ref := opt
+	ref.Float64Walk = true
+	st64 := Accel(tr, tr, 64, ref, ax64, ay64, az64)
 
-	opt.Float32Kernel = true
 	ax32 := make([]float64, n)
 	ay32 := make([]float64, n)
 	az32 := make([]float64, n)
@@ -80,11 +80,11 @@ func TestFloat32KernelMatchesFloat64InTree(t *testing.T) {
 	}
 }
 
-// TestFloat32KernelWorkersBitIdentical asserts the float32 walk is
+// TestCutoffWalkWorkersBitIdentical asserts the float32 walk is
 // bit-identical across worker counts: groups own disjoint output ranges and
 // each group's batch is built and evaluated identically regardless of which
 // sub-Walker handles it.
-func TestFloat32KernelWorkersBitIdentical(t *testing.T) {
+func TestCutoffWalkWorkersBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	x, y, z, m := plummer(rng, 4000, 0.04)
 	tr, err := Build(x, y, z, m, DefaultOptions())
@@ -92,7 +92,6 @@ func TestFloat32KernelWorkersBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	opt := cutoffOpts()
-	opt.Float32Kernel = true
 	n := len(x)
 
 	ref := make([]float64, 3*n)
@@ -133,14 +132,14 @@ func TestWalkerZeroAllocSteadyState(t *testing.T) {
 	az := make([]float64, n)
 
 	for _, tc := range []struct {
-		name string
-		f32  bool
+		name   string
+		oracle bool
 	}{
-		{"float64", false},
-		{"float32", true},
+		{"float64 oracle", true},
+		{"float32", false},
 	} {
 		opt := cutoffOpts()
-		opt.Float32Kernel = tc.f32
+		opt.Float64Walk = tc.oracle
 		w := NewWalker()
 		w.AccelGroups(tr, tr, groups, opt, ax, ay, az) // warm-up: buffers grow here
 		allocs := testing.AllocsPerRun(5, func() {
@@ -148,46 +147,6 @@ func TestWalkerZeroAllocSteadyState(t *testing.T) {
 		})
 		if allocs != 0 {
 			t.Errorf("%s walk: %v allocs/pass in steady state, want 0", tc.name, allocs)
-		}
-	}
-}
-
-// TestFloat32KernelScalarVariantMatchesFast covers the Float32Kernel ×
-// FastKernel=false corner: the scalar float32 reference kernel through the
-// same batch walk, agreeing with the fast path to float32 noise.
-func TestFloat32KernelScalarVariantMatchesFast(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	x, y, z, m := plummer(rng, 1500, 0.05)
-	tr, err := Build(x, y, z, m, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := len(x)
-	opt := cutoffOpts()
-	opt.Float32Kernel = true
-
-	axF := make([]float64, n)
-	ayF := make([]float64, n)
-	azF := make([]float64, n)
-	Accel(tr, tr, 64, opt, axF, ayF, azF)
-
-	opt.FastKernel = false
-	axS := make([]float64, n)
-	ayS := make([]float64, n)
-	azS := make([]float64, n)
-	Accel(tr, tr, 64, opt, axS, ayS, azS)
-
-	var sum2 float64
-	for i := 0; i < n; i++ {
-		sum2 += axS[i]*axS[i] + ayS[i]*ayS[i] + azS[i]*azS[i]
-	}
-	rms := math.Sqrt(sum2 / float64(n))
-	for i := 0; i < n; i++ {
-		dx := axF[i] - axS[i]
-		dy := ayF[i] - ayS[i]
-		dz := azF[i] - azS[i]
-		if e := math.Sqrt(dx*dx + dy*dy + dz*dz); e > 2e-4*rms {
-			t.Fatalf("particle %d: fast vs scalar f32 differ by %g (rms %g)", i, e, rms)
 		}
 	}
 }

@@ -30,11 +30,6 @@ type Config struct {
 	Eps2 float64 // Plummer softening squared
 	// LeafCap for tree construction (0 ⇒ 16).
 	LeafCap int
-	// FastKernel selects the Phantom-GRAPE style unrolled kernel.
-	FastKernel bool
-	// Float32Kernel evaluates the short-range kernel in single precision on
-	// group-center-relative float32 batches (tree.ForceOpts.Float32Kernel).
-	Float32Kernel bool
 	// SpectralPM switches PM differentiation to k-space (ablation).
 	SpectralPM bool
 	// NoDeconvolution disables TSC window deconvolution (ablation).
@@ -131,7 +126,6 @@ func (s *Solver) Accel(x, y, z, m []float64, ax, ay, az []float64) (Stats, error
 	st.Tree = s.walker.Accel(tr, tr, s.cfg.Ni, tree.ForceOpts{
 		G: s.cfg.G, Theta: s.cfg.Theta, Eps2: s.cfg.Eps2,
 		Cutoff: true, Rcut: s.cfg.Rcut, Periodic: true, L: s.cfg.L,
-		FastKernel: s.cfg.FastKernel, Float32Kernel: s.cfg.Float32Kernel,
 		Workers: s.cfg.Workers,
 	}, ax, ay, az)
 	st.TreeTraverse = time.Since(t1)

@@ -141,7 +141,7 @@ func TestMomentumConservation(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	n := 200
 	x, y, z, m := randSystem(rng, n)
-	s, _ := New(Config{L: 1, G: 1, NMesh: 16, Ni: 32, Eps2: 1e-9, FastKernel: true})
+	s, _ := New(Config{L: 1, G: 1, NMesh: 16, Ni: 32, Eps2: 1e-9})
 	ax := make([]float64, n)
 	ay := make([]float64, n)
 	az := make([]float64, n)
