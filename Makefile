@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: verify build vet test race fuzz-smoke bench bench-fft bench-kernel bench-insitu bench-overlap bench-scaling smoke-restart smoke-serve smoke-chaos
+.PHONY: verify build vet test race fuzz-smoke bench bench-fft bench-kernel bench-insitu bench-overlap bench-scaling alloc-profile smoke-restart smoke-serve smoke-chaos
 
 # verify is the tier-1 gate: full build, vet, tests, plus a short race pass
 # over the packages where ranks-as-goroutines concurrency lives.
@@ -61,11 +61,26 @@ bench-fft:
 bench-kernel:
 	$(GO) test -run NONE -bench 'KernelGflops' -benchmem .
 
-# bench-overlap: one warm 64³ step on 8 ranks with the PM solve hidden behind
+# bench-overlap: warm 64³ steps on 8 ranks with the PM solve hidden behind
 # the tree walk (rank0-step-s is the step wall, hidden-s the covered PM
 # share). The performance gate is `go run ./bench`, not these micro-benches.
 bench-overlap:
 	$(GO) test -run NONE -bench 'StepOverlap64' -benchmem .
+
+# alloc-profile: who allocates in a warm step — the same benchmark (set-up
+# and the first step are excluded from its profile) sampled at every
+# allocation, printed as the bytes-allocated top list. -focus keeps the
+# stacks under Sim.Step and the background PM solve: switching the sampling
+# rate mid-run makes the runtime take one stray sample per P outside them.
+# The profile and the test binary land in ALLOC_PROFILE_DIR.
+ALLOC_PROFILE_DIR ?= $(or $(TMPDIR),/tmp)/greem-alloc-profile
+alloc-profile:
+	mkdir -p $(ALLOC_PROFILE_DIR)
+	$(GO) test -run NONE -bench 'StepOverlap64' -benchtime 5x -memprofilerate 1 \
+		-memprofile mem.prof -outputdir $(ALLOC_PROFILE_DIR) -o $(ALLOC_PROFILE_DIR)/greem.test .
+	$(GO) tool pprof -sample_index=alloc_space -top -nodecount 30 \
+		-focus 'sim\.\(\*Sim\)\.Step|pmpar\.\(\*Solver\)\.solveStage' \
+		$(ALLOC_PROFILE_DIR)/greem.test $(ALLOC_PROFILE_DIR)/mem.prof
 
 # bench-insitu: the in-situ analysis plane — the distributed FoF end to end
 # on the 64³/8-rank clustered bench case, and the marginal per-mode cost of

@@ -6,8 +6,21 @@
 // communication pattern against a modeled interconnect.
 //
 // Semantics mirror MPI: all ranks of a communicator must call collectives in
-// the same order; Split must be called by every rank of the parent. Data
-// returned from collectives is always a private copy.
+// the same order; Split must be called by every rank of the parent.
+//
+// # Buffer ownership
+//
+// A collective only reads the data a rank passes in, and only between that
+// rank's entry and its return: once the call returns the sender may overwrite
+// its send buffers. What a collective returns belongs to the receiver. The
+// plain forms (Alltoall, Allgather, Bcast, Reduce, …) return freshly
+// allocated private copies. The Into forms (AlltoallInto, AllgatherInto,
+// BcastInto, ReduceInto) write into buffers the receiver passes in, reusing
+// their capacity, so a steady-state caller allocates nothing; the contents
+// are valid until the receiver's next call with the same buffers. A receive
+// buffer must not overlap anything the same rank passes as send data (peers
+// read that while the rank is already writing its receives); ReduceInto
+// states its one exception.
 //
 // # Abort contract
 //
@@ -220,16 +233,29 @@ func (c *Comm) Barrier() {
 // Bcast distributes root's data to every rank; each rank receives a copy.
 // Non-root ranks pass their (ignored) local value, typically nil.
 func Bcast[T any](c *Comm, root int, data []T) []T {
+	out := BcastInto(c, root, data, nil)
+	if c.rank == root {
+		out = append([]T(nil), data...)
+	}
+	return out
+}
+
+// BcastInto is Bcast into a receiver-owned buffer: every rank but root gets
+// root's data in buf[:0], grown only when its capacity is short, and returns
+// it; root returns data itself. Passing the same slice as data and buf on
+// every rank is MPI's in-place broadcast.
+func BcastInto[T any](c *Comm, root int, data, buf []T) []T {
 	b, k := c.nextBoard()
 	if c.rank == root {
 		b.slots[c.rank] = data
 	}
 	b.await()
-	src := b.slots[root].([]T)
-	out := append([]T(nil), src...)
-	if c.rank == root {
+	out := data
+	if c.rank != root {
+		out = append(buf[:0], b.slots[root].([]T)...)
+	} else {
 		// Model a binomial broadcast tree: log₂(p) rounds.
-		c.world.Traffic.recordTree(c, root, len(src)*elemSize[T](), "Bcast", false)
+		c.world.Traffic.recordTree(c, root, len(data)*elemSize[T](), "Bcast", false)
 	}
 	b.await()
 	if c.rank == 0 {
@@ -270,21 +296,10 @@ func Allgather[T any](c *Comm, data []T) [][]T {
 	b.slots[c.rank] = data
 	b.await()
 	out := make([][]T, c.size)
-	var msgs []Message
 	for i := 0; i < c.size; i++ {
-		s := b.slots[i].([]T)
-		out[i] = append([]T(nil), s...)
-		if c.rank == 0 {
-			for j := 0; j < c.size; j++ {
-				if i != j {
-					msgs = append(msgs, Message{Src: c.members[i], Dst: c.members[j], Bytes: len(s) * elemSize[T]()})
-				}
-			}
-		}
+		out[i] = append([]T(nil), b.slots[i].([]T)...)
 	}
-	if c.rank == 0 {
-		c.world.Traffic.record(Op{Name: "Allgather", Comm: c.id, CommSize: c.size, Msgs: msgs})
-	}
+	recordAllgather[T](c, b)
 	b.await()
 	if c.rank == 0 {
 		c.world.dropBoard(k)
@@ -292,20 +307,67 @@ func Allgather[T any](c *Comm, data []T) [][]T {
 	return out
 }
 
+// recordAllgather enters an allgather whose contributions sit on board b in
+// the traffic ledger (rank 0 only): every rank's data to every other rank.
+func recordAllgather[T any](c *Comm, b *board) {
+	if c.rank != 0 {
+		return
+	}
+	var msgs []Message
+	for i := 0; i < c.size; i++ {
+		bytes := len(b.slots[i].([]T)) * elemSize[T]()
+		for j := 0; j < c.size; j++ {
+			if i != j {
+				msgs = append(msgs, Message{Src: c.members[i], Dst: c.members[j], Bytes: bytes})
+			}
+		}
+	}
+	c.world.Traffic.record(Op{Name: "Allgather", Comm: c.id, CommSize: c.size, Msgs: msgs})
+}
+
+// AllgatherInto is Allgather with every rank's data stored back to back, in
+// rank order, in recv[:0] (grown only when its capacity is short). It suits
+// the fixed-size contributions — one cost, one count per rank — whose
+// per-rank boundaries the caller knows.
+func AllgatherInto[T any](c *Comm, data, recv []T) []T {
+	b, k := c.nextBoard()
+	b.slots[c.rank] = data
+	b.await()
+	recv = recv[:0]
+	for i := 0; i < c.size; i++ {
+		recv = append(recv, b.slots[i].([]T)...)
+	}
+	recordAllgather[T](c, b)
+	b.await()
+	if c.rank == 0 {
+		c.world.dropBoard(k)
+	}
+	return recv
+}
+
 // Alltoall delivers send[j] from each rank to rank j; the result's element i
 // is what rank i sent to this rank. Slices may have arbitrary per-pair
-// lengths, so this doubles as MPI_Alltoallv.
-func Alltoall[T any](c *Comm, send [][]T) [][]T {
+// lengths, so this doubles as MPI_Alltoallv. The result is freshly allocated.
+func Alltoall[T any](c *Comm, send [][]T) [][]T { return AlltoallInto(c, send, nil) }
+
+// AlltoallInto is Alltoall into receiver-owned buffers: what rank i sent
+// lands in recv[i][:0], grown only when its capacity is short, and recv is
+// returned. A nil recv allocates the whole result; otherwise recv must have
+// one entry per rank (entries may be nil).
+func AlltoallInto[T any](c *Comm, send, recv [][]T) [][]T {
 	if len(send) != c.size {
 		panic(fmt.Sprintf("mpi: Alltoall send has %d entries for %d ranks", len(send), c.size))
+	}
+	if recv == nil {
+		recv = make([][]T, c.size)
+	} else if len(recv) != c.size {
+		panic(fmt.Sprintf("mpi: AlltoallInto recv has %d entries for %d ranks", len(recv), c.size))
 	}
 	b, k := c.nextBoard()
 	b.slots[c.rank] = send
 	b.await()
-	out := make([][]T, c.size)
 	for i := 0; i < c.size; i++ {
-		s := b.slots[i].([][]T)[c.rank]
-		out[i] = append([]T(nil), s...)
+		recv[i] = append(recv[i][:0], b.slots[i].([][]T)[c.rank]...)
 	}
 	if c.rank == 0 {
 		var msgs []Message
@@ -324,29 +386,52 @@ func Alltoall[T any](c *Comm, send [][]T) [][]T {
 	if c.rank == 0 {
 		c.world.dropBoard(k)
 	}
-	return out
+	return recv
 }
 
 // Reduce combines equal-length slices element-wise with op, leaving the
 // result at root (nil elsewhere). The combine order is fixed (rank 0..p−1)
 // for determinism.
 func Reduce[T any](c *Comm, root int, data []T, op func(a, b T) T) []T {
+	var out []T
+	if c.rank == root {
+		out = make([]T, len(data))
+	}
+	return ReduceInto(c, root, data, out, op)
+}
+
+// ReduceInto is Reduce with the result written into root's out, which must
+// have len(data); out is ignored, and nil returned, on every other rank. On
+// root 0 out may be data itself — rank 0's contribution is folded first, so
+// the reduce is then in place; on any other root that would fold a clobbered
+// contribution, and panics.
+func ReduceInto[T any](c *Comm, root int, data, out []T, op func(a, b T) T) []T {
 	b, k := c.nextBoard()
 	b.slots[c.rank] = data
 	b.await()
-	var out []T
 	if c.rank == root {
-		out = append([]T(nil), b.slots[0].([]T)...)
-		for i := 1; i < c.size; i++ {
+		if len(out) != len(data) {
+			panic(fmt.Sprintf("mpi: ReduceInto out has %d elements for %d of data", len(out), len(data)))
+		}
+		if root != 0 && len(out) > 0 && &out[0] == &data[0] {
+			panic("mpi: ReduceInto in place on a root other than rank 0")
+		}
+		for i := 0; i < c.size; i++ {
 			s := b.slots[i].([]T)
 			if len(s) != len(out) {
 				panic("mpi: Reduce length mismatch")
+			}
+			if i == 0 {
+				copy(out, s)
+				continue
 			}
 			for j := range out {
 				out[j] = op(out[j], s[j])
 			}
 		}
 		c.world.Traffic.recordTree(c, root, len(out)*elemSize[T](), "Reduce", true)
+	} else {
+		out = nil
 	}
 	b.await()
 	if c.rank == 0 {

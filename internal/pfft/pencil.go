@@ -55,8 +55,10 @@ type PencilPlan struct {
 	wreal [][]float64    // per-worker strided r2c/c2r line scratch, len n
 	wspec [][]complex128 // per-worker strided r2c/c2r line scratch, len nxh
 
-	sendRow [][]complex128 // reused row-transpose send blocks
-	sendCol [][]complex128 // reused column-transpose send blocks
+	// Transpose blocks per peer of the row and of the column, reused: packed
+	// into on the send side, received into (mpi.AlltoallInto) on the other.
+	sendRow, recvRow [][]complex128
+	sendCol, recvCol [][]complex128
 
 	// Current fftLines batch state for the bound range task (hoisted so the
 	// per-line loop allocates nothing in steady state).
@@ -104,8 +106,8 @@ func NewPencilPlan(c *mpi.Comm, n, py, pz int) (*PencilPlan, error) {
 	}
 	p.taskLines = p.lineRange
 	p.sizeScratch(1)
-	p.sendRow = make([][]complex128, py)
-	p.sendCol = make([][]complex128, pz)
+	p.sendRow, p.recvRow = make([][]complex128, py), make([][]complex128, py)
+	p.sendCol, p.recvCol = make([][]complex128, pz), make([][]complex128, pz)
 	return p, nil
 }
 
@@ -328,7 +330,7 @@ func (p *PencilPlan) transposeAB(a []complex128, layX Layout, xcl int) []complex
 	for ap := 0; ap < p.py; ap++ {
 		xc, xo := layX.Count(ap), layX.Offset(ap)
 		if xc == 0 || p.yc == 0 || p.zc == 0 {
-			p.sendRow[ap] = nil
+			p.sendRow[ap] = p.sendRow[ap][:0]
 			continue
 		}
 		blk := growC(p.sendRow[ap], xc*p.yc*p.zc)
@@ -342,11 +344,11 @@ func (p *PencilPlan) transposeAB(a []complex128, layX Layout, xcl int) []complex
 		}
 		p.sendRow[ap] = blk
 	}
-	recv := mpi.Alltoall(p.rowComm, p.sendRow)
+	p.recvRow = mpi.AlltoallInto(p.rowComm, p.sendRow, p.recvRow)
 	out := make([]complex128, p.n*xcl*p.zc)
 	for ap := 0; ap < p.py; ap++ {
 		ycp, yop := p.layY.Count(ap), p.layY.Offset(ap)
-		blk := recv[ap]
+		blk := p.recvRow[ap]
 		if len(blk) == 0 {
 			continue
 		}
@@ -367,7 +369,7 @@ func (p *PencilPlan) transposeBA(bArr []complex128, layX Layout, xcl int) []comp
 	for ap := 0; ap < p.py; ap++ {
 		ycp, yop := p.layY.Count(ap), p.layY.Offset(ap)
 		if ycp == 0 || xcl == 0 || p.zc == 0 {
-			p.sendRow[ap] = nil
+			p.sendRow[ap] = p.sendRow[ap][:0]
 			continue
 		}
 		blk := growC(p.sendRow[ap], xcl*ycp*p.zc)
@@ -381,11 +383,11 @@ func (p *PencilPlan) transposeBA(bArr []complex128, layX Layout, xcl int) []comp
 		}
 		p.sendRow[ap] = blk
 	}
-	recv := mpi.Alltoall(p.rowComm, p.sendRow)
+	p.recvRow = mpi.AlltoallInto(p.rowComm, p.sendRow, p.recvRow)
 	out := make([]complex128, layX.N*p.yc*p.zc)
 	for ap := 0; ap < p.py; ap++ {
 		xc, xo := layX.Count(ap), layX.Offset(ap)
-		blk := recv[ap]
+		blk := p.recvRow[ap]
 		if len(blk) == 0 {
 			continue
 		}
@@ -408,7 +410,7 @@ func (p *PencilPlan) transposeBC(bArr []complex128, xcl int) []complex128 {
 	for bp := 0; bp < p.pz; bp++ {
 		ycp, yop := p.layZ.Count(bp), p.layZ.Offset(bp)
 		if ycp == 0 || xcl == 0 || p.zc == 0 {
-			p.sendCol[bp] = nil
+			p.sendCol[bp] = p.sendCol[bp][:0]
 			continue
 		}
 		blk := growC(p.sendCol[bp], ycp*xcl*p.zc)
@@ -422,11 +424,11 @@ func (p *PencilPlan) transposeBC(bArr []complex128, xcl int) []complex128 {
 		}
 		p.sendCol[bp] = blk
 	}
-	recv := mpi.Alltoall(p.colComm, p.sendCol)
+	p.recvCol = mpi.AlltoallInto(p.colComm, p.sendCol, p.recvCol)
 	out := make([]complex128, xcl*p.yc2*p.n)
 	for bp := 0; bp < p.pz; bp++ {
 		zcp, zop := p.layZ.Count(bp), p.layZ.Offset(bp)
-		blk := recv[bp]
+		blk := p.recvCol[bp]
 		if len(blk) == 0 {
 			continue
 		}
@@ -447,7 +449,7 @@ func (p *PencilPlan) transposeCB(cArr []complex128, xcl int) []complex128 {
 	for bp := 0; bp < p.pz; bp++ {
 		zcp, zop := p.layZ.Count(bp), p.layZ.Offset(bp)
 		if zcp == 0 || xcl == 0 || p.yc2 == 0 {
-			p.sendCol[bp] = nil
+			p.sendCol[bp] = p.sendCol[bp][:0]
 			continue
 		}
 		blk := growC(p.sendCol[bp], p.yc2*xcl*zcp)
@@ -461,11 +463,11 @@ func (p *PencilPlan) transposeCB(cArr []complex128, xcl int) []complex128 {
 		}
 		p.sendCol[bp] = blk
 	}
-	recv := mpi.Alltoall(p.colComm, p.sendCol)
+	p.recvCol = mpi.AlltoallInto(p.colComm, p.sendCol, p.recvCol)
 	out := make([]complex128, p.n*xcl*p.zc)
 	for bp := 0; bp < p.pz; bp++ {
 		ycp, yop := p.layZ.Count(bp), p.layZ.Offset(bp)
-		blk := recv[bp]
+		blk := p.recvCol[bp]
 		if len(blk) == 0 {
 			continue
 		}

@@ -85,6 +85,7 @@ type Plan struct {
 	wmid [][]complex128 // per-worker mid-axis line gather scratch, len n each
 
 	send  [][]complex128 // per-destination transpose blocks, reused
+	recv  [][]complex128 // per-source transpose blocks, received into and reused
 	trBuf []complex128   // y-slab transpose target, reused
 
 	// Current batch state for the bound range tasks (hoisted so the hot
@@ -96,7 +97,6 @@ type Plan struct {
 	tspec  []complex128
 	tlocal []complex128
 	ttr    []complex128
-	trecv  [][]complex128
 
 	taskZ, taskMid, taskFZ, taskIZ                     func(w, lo, hi int)
 	taskPackXY, taskUnpackXY, taskPackYX, taskUnpackYX func(w, lo, hi int)
@@ -127,6 +127,7 @@ func NewPlan(c *mpi.Comm, n int) (*Plan, error) {
 		p.rline = []*fft.RealPlan{rl}
 	}
 	p.send = make([][]complex128, c.Size())
+	p.recv = make([][]complex128, c.Size())
 	p.taskZ = p.zLines
 	p.taskMid = p.midLines
 	p.taskFZ = p.fzLines
@@ -340,7 +341,7 @@ func (p *Plan) packXY(w, lo, hi int) {
 	for s := lo; s < hi; s++ {
 		yc, yo := p.lay.Count(s), p.lay.Offset(s)
 		if yc == 0 || p.cnt == 0 {
-			p.send[s] = nil
+			p.send[s] = p.send[s][:0]
 			continue
 		}
 		blk := growC(p.send[s], p.cnt*yc*rowLen)
@@ -363,7 +364,7 @@ func (p *Plan) unpackXY(w, lo, hi int) {
 	out := p.ttr
 	for r := lo; r < hi; r++ {
 		xc, xo := p.lay.Count(r), p.lay.Offset(r)
-		blk := p.trecv[r]
+		blk := p.recv[r]
 		if len(blk) == 0 {
 			continue
 		}
@@ -384,7 +385,7 @@ func (p *Plan) packYX(w, lo, hi int) {
 	for s := lo; s < hi; s++ {
 		xc, xo := p.lay.Count(s), p.lay.Offset(s)
 		if xc == 0 || p.ycnt == 0 {
-			p.send[s] = nil
+			p.send[s] = p.send[s][:0]
 			continue
 		}
 		blk := growC(p.send[s], p.ycnt*xc*rowLen)
@@ -406,7 +407,7 @@ func (p *Plan) unpackYX(w, lo, hi int) {
 	n, rowLen := p.n, p.trow
 	for r := lo; r < hi; r++ {
 		yc, yo := p.lay.Count(r), p.lay.Offset(r)
-		blk := p.trecv[r]
+		blk := p.recv[r]
 		if len(blk) == 0 {
 			continue
 		}
@@ -423,17 +424,17 @@ func (p *Plan) unpackYX(w, lo, hi int) {
 
 // transposeXY redistributes the x-slab array into y-slabs: the result is
 // indexed (iyLocal·n + ix)·rowLen + iz. The returned slice is plan-owned
-// scratch, valid until the next transpose. The mpi.Alltoall double-barrier
-// copies every received block before returning, so reusing the send blocks
-// on the next call is safe.
+// scratch, valid until the next transpose. The all-to-all has copied every
+// block into the peers' receive buffers by the time it returns, so reusing
+// the send blocks on the next call is safe.
 func (p *Plan) transposeXY(local []complex128, rowLen int) []complex128 {
 	p.tlocal, p.trow = local, rowLen
 	p.pool.Run(p.comm.Size(), p.taskPackXY)
-	recv := mpi.Alltoall(p.comm, p.send)
+	p.recv = mpi.AlltoallInto(p.comm, p.send, p.recv)
 	p.trBuf = growC(p.trBuf, p.ycnt*p.n*rowLen)
-	p.ttr, p.trecv = p.trBuf, recv
+	p.ttr = p.trBuf
 	p.pool.Run(p.comm.Size(), p.taskUnpackXY)
-	p.tlocal, p.ttr, p.trecv = nil, nil, nil
+	p.tlocal, p.ttr = nil, nil
 	return p.trBuf
 }
 
@@ -442,8 +443,8 @@ func (p *Plan) transposeXY(local []complex128, rowLen int) []complex128 {
 func (p *Plan) transposeYX(tr []complex128, local []complex128, rowLen int) {
 	p.ttr, p.trow = tr, rowLen
 	p.pool.Run(p.comm.Size(), p.taskPackYX)
-	recv := mpi.Alltoall(p.comm, p.send)
-	p.tlocal, p.trecv = local, recv
+	p.recv = mpi.AlltoallInto(p.comm, p.send, p.recv)
+	p.tlocal = local
 	p.pool.Run(p.comm.Size(), p.taskUnpackYX)
-	p.tlocal, p.ttr, p.trecv = nil, nil, nil
+	p.tlocal, p.ttr = nil, nil
 }

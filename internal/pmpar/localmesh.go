@@ -82,23 +82,36 @@ func NewLocalMesh(n int, l float64, lo, hi vec.V3) (*LocalMesh, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("pmpar: bad mesh size %d", n)
 	}
-	h := l / float64(n)
-	m := &LocalMesh{N: n, H: h}
-	m.X0, m.NX = axisRange(lo.X, hi.X, h, n)
-	m.Y0, m.NY = axisRange(lo.Y, hi.Y, h, n)
-	m.Z0, m.NZ = axisRange(lo.Z, hi.Z, h, n)
-	sz := m.NX * m.NY * m.NZ
-	m.Rho = make([]float64, sz)
-	m.Phi = make([]float64, sz)
-	m.Fx = make([]float64, sz)
-	m.Fy = make([]float64, sz)
-	m.Fz = make([]float64, sz)
+	m := &LocalMesh{N: n, H: l / float64(n)}
 	m.taskPrep = m.assignPrep
 	m.taskDeposit = m.assignDeposit
 	m.taskDiff = m.diffTask
 	m.taskInterp = m.interpRange
 	m.taskPot = m.potRange
+	m.Reshape(lo, hi)
 	return m, nil
+}
+
+// Reshape moves the window to the domain [lo, hi), keeping the five mesh
+// arrays' capacity. Afterwards the mesh holds what a new one would as far as
+// any reader can tell: Fx/Fy/Fz are zero (DiffForce leaves the two outermost
+// layers unwritten), while Rho and Phi keep stale cells only until the solve
+// cycle rewrites all of them — Clear before the assignment, the potential
+// scatter (which covers every window cell) before the differencing.
+func (m *LocalMesh) Reshape(lo, hi vec.V3) {
+	w := windowOf(lo, hi, m.H, m.N)
+	m.X0, m.NX = int(w[0]), int(w[1])
+	m.Y0, m.NY = int(w[2]), int(w[3])
+	m.Z0, m.NZ = int(w[4]), int(w[5])
+	sz := m.NX * m.NY * m.NZ
+	m.Rho = growF(m.Rho, sz)
+	m.Phi = growF(m.Phi, sz)
+	m.Fx = growF(m.Fx, sz)
+	m.Fy = growF(m.Fy, sz)
+	m.Fz = growF(m.Fz, sz)
+	clear(m.Fx)
+	clear(m.Fy)
+	clear(m.Fz)
 }
 
 // SetPool attaches a worker pool to the mesh loops (nil restores serial).
@@ -151,15 +164,18 @@ func (m *LocalMesh) tsc(x float64) (g0 int, w [3]float64) {
 	return int(ng) - 1, w
 }
 
-// growScratch sizes the per-particle assignment scratch (amortized).
+// growScratch sizes the per-particle assignment scratch, with headroom when
+// it has to reallocate: the solver outlives domain decompositions, and the
+// local particle count keeps fluctuating across them.
 func (m *LocalMesh) growScratch(np int) {
 	if cap(m.wix) < np {
-		m.wix = make([][3]int32, np)
-		m.wiy = make([][3]int32, np)
-		m.wiz = make([][3]int32, np)
-		m.wwx = make([][3]float64, np)
-		m.wwy = make([][3]float64, np)
-		m.wwz = make([][3]float64, np)
+		c := np + np/8
+		m.wix = make([][3]int32, np, c)
+		m.wiy = make([][3]int32, np, c)
+		m.wiz = make([][3]int32, np, c)
+		m.wwx = make([][3]float64, np, c)
+		m.wwy = make([][3]float64, np, c)
+		m.wwz = make([][3]float64, np, c)
 	}
 	m.wix = m.wix[:np]
 	m.wiy = m.wiy[:np]
@@ -326,18 +342,19 @@ type seg struct {
 }
 
 // axisSegs decomposes the window [origin, origin+extent) into at most two
-// wrapped segments. (When extent == n the origin is 0 by construction, so
-// the general path yields the single full segment.)
-func axisSegs(origin, extent, n int) []seg {
+// wrapped segments, returned as a fixed array and a count so the block-list
+// rebuild allocates nothing. (When extent == n the origin is 0 by
+// construction, so the general path yields the single full segment.)
+func axisSegs(origin, extent, n int) (segs [2]seg, count int) {
 	g := ((origin % n) + n) % n
 	if g+extent <= n {
-		return []seg{{g0: g, l0: 0, n: extent}}
+		return [2]seg{{g0: g, l0: 0, n: extent}}, 1
 	}
 	first := n - g
-	return []seg{
+	return [2]seg{
 		{g0: g, l0: 0, n: first},
 		{g0: 0, l0: first, n: extent - first},
-	}
+	}, 2
 }
 
 // InterpolatePot adds the TSC-interpolated long-range potential at the

@@ -83,6 +83,14 @@ func (t Timings) Total() time.Duration {
 
 type boxDesc [6]int32 // X0, NX, Y0, NY, Z0, NZ
 
+// windowOf returns the local-mesh window of the domain [lo, hi).
+func windowOf(lo, hi vec.V3, h float64, n int) boxDesc {
+	x0, nx := axisRange(lo.X, hi.X, h, n)
+	y0, ny := axisRange(lo.Y, hi.Y, h, n)
+	z0, nz := axisRange(lo.Z, hi.Z, h, n)
+	return boxDesc{int32(x0), int32(nx), int32(y0), int32(ny), int32(z0), int32(nz)}
+}
+
 // Solver is one rank's handle on the distributed PM computation.
 type Solver struct {
 	comm *mpi.Comm
@@ -90,17 +98,19 @@ type Solver struct {
 	lm   *LocalMesh
 	lay  pfft.Layout
 
-	myBox boxDesc
 	// convComm is the communicator on which mesh conversions run (world for
-	// naive, COMM_SMALLA2A for relay); convBoxes are its members' windows.
+	// naive, COMM_SMALLA2A for relay); convRanks are its members' ranks in
+	// comm and convBoxes their windows under the current decomposition.
 	convComm  *mpi.Comm
+	convRanks []int
 	convBoxes []boxDesc
 
 	// relay only
 	commReduce *mpi.Comm
 	group      int
 
-	isHolder bool // holds (partial) slab q = convComm rank
+	isHolder bool   // holds (partial) slab q = convComm rank
+	held     region // the cells this holder's slab covers
 	slab     []float64
 
 	isFFT   bool
@@ -113,13 +123,14 @@ type Solver struct {
 	green *mesh.GreenTab
 	spec  []complex128
 
-	// Cached exchange geometry and buffers: the block lists depend only on
-	// the domain decomposition, so both sides precompute them in New, and
-	// the pack buffers are reused every step (no steady-state allocation in
-	// the conversions).
+	// Exchange geometry and buffers. The block lists depend only on the
+	// domain decomposition, so both sides recompute them in Redecompose (into
+	// retained capacity); the pack and receive buffers are reused every
+	// solve, so the conversions allocate nothing in steady state.
 	sendBlocks [][]blk     // per destination holder q < NFFT
 	recvBlocks [][]blk     // holder only: per source rank of convComm
-	sendF      [][]float64 // per-destination pack buffers, reused
+	sendF      [][]float64 // per-destination pack buffers
+	recvF      [][]float64 // per-source receive buffers
 
 	// rec receives the per-phase spans; never nil after New.
 	rec *telemetry.Recorder
@@ -199,8 +210,10 @@ func New(c *mpi.Comm, cfg Config, lo, hi vec.V3) (*Solver, error) {
 	if s.rec == nil {
 		s.rec = telemetry.NewRecorder(c.Rank(), nil)
 	}
-	s.myBox = boxDesc{int32(lm.X0), int32(lm.NX), int32(lm.Y0), int32(lm.NY), int32(lm.Z0), int32(lm.NZ)}
 
+	// Everything from here to the Allgather is independent of the domain
+	// decomposition and lives as long as the solver: communicators, FFT plan,
+	// Green table, slab, spectrum and the exchange buffers.
 	if cfg.Relay {
 		s.group = groupOf(c.Rank(), p, cfg.Groups, cfg.Interleaved)
 		small := c.Split(s.group, c.Rank())
@@ -212,6 +225,12 @@ func New(c *mpi.Comm, cfg Config, lo, hi vec.V3) (*Solver, error) {
 		s.convComm = c
 		s.isHolder = c.Rank() < cfg.NFFT
 		s.isFFT = s.isHolder
+	}
+	// convComm orders its members by their rank in c.
+	for r := 0; r < p; r++ {
+		if !cfg.Relay || groupOf(r, p, cfg.Groups, cfg.Interleaved) == s.group {
+			s.convRanks = append(s.convRanks, r)
+		}
 	}
 	// COMM_FFT: the paper creates it with MPI_Comm_split so that only the
 	// FFT processes participate in the transform.
@@ -237,30 +256,14 @@ func New(c *mpi.Comm, cfg Config, lo, hi vec.V3) (*Solver, error) {
 		}
 	}
 	if s.isHolder {
-		r := s.holderRegion(s.convComm.Rank())
-		s.slab = make([]float64, r.size())
-	}
-	// Exchange local-window descriptors once (they change only when the
-	// domain decomposition changes, i.e. when New is called again).
-	gathered := mpi.Allgather(s.convComm, s.myBox[:])
-	s.convBoxes = make([]boxDesc, len(gathered))
-	for i, g := range gathered {
-		copy(s.convBoxes[i][:], g)
-	}
-	// Precompute the exchange block lists (deterministic on both sides) and
-	// the pack buffers they fill.
-	s.sendBlocks = make([][]blk, cfg.NFFT)
-	for q := 0; q < cfg.NFFT; q++ {
-		s.sendBlocks[q] = blocksFor(s.myBox, s.holderRegion(q), cfg.N)
-	}
-	if s.isHolder {
-		r := s.holderRegion(s.convComm.Rank())
+		s.held = s.holderRegion(s.convComm.Rank())
+		s.slab = make([]float64, s.held.size())
 		s.recvBlocks = make([][]blk, s.convComm.Size())
-		for src := 0; src < s.convComm.Size(); src++ {
-			s.recvBlocks[src] = blocksFor(s.convBoxes[src], r, cfg.N)
-		}
 	}
+	s.convBoxes = make([]boxDesc, s.convComm.Size())
+	s.sendBlocks = make([][]blk, cfg.NFFT)
 	s.sendF = make([][]float64, s.convComm.Size())
+	s.recvF = make([][]float64, s.convComm.Size())
 	s.green = mesh.GreenTable(cfg.N, cfg.L, cfg.G, cfg.Rcut, !cfg.NoDeconvolve, 3)
 	if s.isFFT && !cfg.Pencil {
 		s.spec = make([]complex128, s.plan.LocalSpecSize())
@@ -290,7 +293,44 @@ func New(c *mpi.Comm, cfg Config, lo, hi vec.V3) (*Solver, error) {
 		s.poolBusy[i] = s.rec.Registry().SecondsCounter(telemetry.MetricPoolBusySeconds, telemetry.L("phase", name))
 		s.poolIdle[i] = s.rec.Registry().SecondsCounter(telemetry.MetricPoolIdleSeconds, telemetry.L("phase", name))
 	}
+
+	// The geometry-dependent state has one code path, Redecompose. New is
+	// handed only its own domain, so it learns the others' here; a caller
+	// that follows a changing decomposition holds them all and calls
+	// Redecompose directly, with no communication.
+	domains := mpi.Allgather(c, []vec.V3{lo, hi})
+	s.Redecompose(func(rank int) (vec.V3, vec.V3) { return domains[rank][0], domains[rank][1] })
 	return s, nil
+}
+
+// Redecompose moves the solver onto a new domain decomposition: bounds
+// returns the domain of each rank of the solver's communicator. Only the
+// window extents, the conversion peers' windows and the exchange block lists
+// are recomputed, into retained capacity; communicators, FFT plan, Green
+// table, slab, spectrum and the pack/receive buffers carry over. The next
+// Accel is bit-identical to that of a solver newly built on the same
+// decomposition. Purely local — every rank must call it with the same
+// decomposition before the next collective solve — and not allowed while a
+// background solve is pending.
+func (s *Solver) Redecompose(bounds func(rank int) (lo, hi vec.V3)) {
+	if s.pending != nil {
+		panic("pmpar: Redecompose while a solve is pending")
+	}
+	s.lm.Reshape(bounds(s.comm.Rank()))
+	n := s.cfg.N
+	for i, r := range s.convRanks {
+		lo, hi := bounds(r)
+		s.convBoxes[i] = windowOf(lo, hi, s.lm.H, n)
+	}
+	// Both sides of every exchange compute its block list, so the data
+	// stream needs no headers.
+	mine := s.convBoxes[s.convComm.Rank()]
+	for q := range s.sendBlocks {
+		s.sendBlocks[q] = blocksFor(s.sendBlocks[q][:0], mine, s.holderRegion(q), n)
+	}
+	for src := range s.recvBlocks {
+		s.recvBlocks[src] = blocksFor(s.recvBlocks[src][:0], s.convBoxes[src], s.held, n)
+	}
 }
 
 // Close releases the solver's worker pool when it owns one (injected pools
@@ -323,10 +363,12 @@ func (s *Solver) greenAt(jx, jy, jz int) float64 {
 	return mesh.KGreenW(jx, jy, jz, s.cfg.N, s.cfg.L, s.cfg.G, s.cfg.Rcut, !s.cfg.NoDeconvolve, 3)
 }
 
-// growF resizes buf to n elements, reusing its backing array when possible.
+// growF resizes buf to n elements, reusing its backing array when possible;
+// a reallocation leaves headroom, since window and block sizes drift with
+// every domain decomposition.
 func growF(buf []float64, n int) []float64 {
 	if cap(buf) < n {
-		return make([]float64, n)
+		return make([]float64, n, n+n/8)
 	}
 	return buf[:n]
 }
@@ -391,24 +433,22 @@ func clipSeg(sg seg, lo, hi int) (seg, bool) {
 	return seg{g0: g0, l0: sg.l0 + (g0 - sg.g0), n: g1 - g0}, true
 }
 
-// blocksFor enumerates, in deterministic order, the blocks of window b that
-// land on the holder region r. Both the sender and the receiver compute this
-// list, so the data stream needs no headers.
-func blocksFor(b boxDesc, r region, n int) []blk {
-	var out []blk
-	ysegs := axisSegs(int(b[2]), int(b[3]), n)
-	zsegs := axisSegs(int(b[4]), int(b[5]), n)
+// blocksFor appends to out, in deterministic order, the blocks of window b
+// that land on the holder region r.
+func blocksFor(out []blk, b boxDesc, r region, n int) []blk {
+	ysegs, ny := axisSegs(int(b[2]), int(b[3]), n)
+	zsegs, nz := axisSegs(int(b[4]), int(b[5]), n)
 	for lx := 0; lx < int(b[1]); lx++ {
 		gx := ((int(b[0])+lx)%n + n) % n
 		if gx < r.x0 || gx >= r.x1 {
 			continue
 		}
-		for _, ys0 := range ysegs {
+		for _, ys0 := range ysegs[:ny] {
 			ys, ok := clipSeg(ys0, r.y0, r.y1)
 			if !ok {
 				continue
 			}
-			for _, zs0 := range zsegs {
+			for _, zs0 := range zsegs[:nz] {
 				zs, ok := clipSeg(zs0, r.z0, r.z1)
 				if !ok {
 					continue
@@ -434,7 +474,7 @@ func blocksLen(bs []blk) int {
 func (s *Solver) packDensity() {
 	for q := range s.sendF {
 		if q >= s.cfg.NFFT || len(s.sendBlocks[q]) == 0 {
-			s.sendF[q] = nil
+			s.sendF[q] = s.sendF[q][:0]
 			continue
 		}
 		bs := s.sendBlocks[q]
@@ -452,10 +492,8 @@ func (s *Solver) packDensity() {
 
 // unpackDensity accumulates received window pieces into this holder's slab.
 func (s *Solver) unpackDensity(recv [][]float64) {
-	for i := range s.slab {
-		s.slab[i] = 0
-	}
-	r := s.holderRegion(s.convComm.Rank())
+	clear(s.slab)
+	r := s.held
 	ny := r.y1 - r.y0
 	nz := r.z1 - r.z0
 	for src := range recv {
@@ -482,9 +520,9 @@ func (s *Solver) unpackDensity(recv [][]float64) {
 // the straightforward method; step 1 of the relay method).
 func (s *Solver) densityToSlabs() {
 	s.packDensity()
-	recv := mpi.Alltoall(s.convComm, s.sendF)
+	s.recvF = mpi.AlltoallInto(s.convComm, s.sendF, s.recvF)
 	if s.isHolder {
-		s.unpackDensity(recv)
+		s.unpackDensity(s.recvF)
 	}
 }
 
@@ -493,8 +531,8 @@ func (s *Solver) densityToSlabs() {
 // relay).
 func (s *Solver) potentialToLocal() {
 	s.packPotential()
-	recv := mpi.Alltoall(s.convComm, s.sendF)
-	s.unpackPotential(recv)
+	s.recvF = mpi.AlltoallInto(s.convComm, s.sendF, s.recvF)
+	s.unpackPotential(s.recvF)
 }
 
 // packPotential fills the reused send buffers with each destination's piece
@@ -502,17 +540,17 @@ func (s *Solver) potentialToLocal() {
 func (s *Solver) packPotential() {
 	if !s.isHolder {
 		for i := range s.sendF {
-			s.sendF[i] = nil
+			s.sendF[i] = s.sendF[i][:0]
 		}
 		return
 	}
-	r := s.holderRegion(s.convComm.Rank())
+	r := s.held
 	ny := r.y1 - r.y0
 	nz := r.z1 - r.z0
 	for dst := range s.sendF {
 		bs := s.recvBlocks[dst]
 		if len(bs) == 0 {
-			s.sendF[dst] = nil
+			s.sendF[dst] = s.sendF[dst][:0]
 			continue
 		}
 		buf := growF(s.sendF[dst], blocksLen(bs))[:0]
@@ -719,11 +757,8 @@ func (s *Solver) solveStage() (comm, fft time.Duration) {
 	t0 := time.Now()
 	s.densityToSlabs()
 	if s.cfg.Relay && s.isHolder {
-		// Sum partial slabs across groups onto the root group.
-		sum := mpi.Reduce(s.commReduce, 0, s.slab, mpi.Sum[float64])
-		if s.commReduce.Rank() == 0 {
-			copy(s.slab, sum)
-		}
+		// Sum partial slabs across groups onto the root group, in place.
+		mpi.ReduceInto(s.commReduce, 0, s.slab, s.slab, mpi.Sum[float64])
 	}
 	comm = time.Since(t0)
 
@@ -736,9 +771,8 @@ func (s *Solver) solveStage() (comm, fft time.Duration) {
 
 	t0 = time.Now()
 	if s.cfg.Relay && s.isHolder {
-		// Broadcast complete potential slabs back to every group (into the
-		// persistent slab, not a fresh allocation).
-		copy(s.slab, mpi.Bcast(s.commReduce, 0, s.slab))
+		// Broadcast complete potential slabs back to every group, in place.
+		mpi.BcastInto(s.commReduce, 0, s.slab, s.slab)
 	}
 	s.potentialToLocal()
 	comm += time.Since(t0)

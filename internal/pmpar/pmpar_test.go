@@ -336,6 +336,10 @@ func TestLocalMeshMassConservation(t *testing.T) {
 }
 
 func TestAxisSegs(t *testing.T) {
+	axisSegs := func(origin, extent, n int) []seg {
+		segs, count := axisSegs(origin, extent, n)
+		return segs[:count]
+	}
 	// In-range window: one segment.
 	s := axisSegs(3, 4, 16)
 	if len(s) != 1 || s[0] != (seg{g0: 3, l0: 0, n: 4}) {

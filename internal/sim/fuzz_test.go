@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"greem/internal/mpi"
@@ -45,7 +46,9 @@ var fuzzGrids = [][3]int{
 // particles, rcut/(1−√3·θ) for the LET path, whose accepted monopoles may
 // stand off from the box by the opening-criterion slack (see
 // tree.LETCollector). Shipped masses must be positive and no heavier than the
-// whole system.
+// whole system. The harness then moves the particles under a fuzzed
+// decomposition and pins the particle exchange to its reference oracle
+// (checkExchange): same particles, same storage order.
 func FuzzGhostSelection(f *testing.F) {
 	f.Add(int64(1), byte(3), byte(80), true)
 	f.Add(int64(2), byte(3), byte(80), false)
@@ -77,7 +80,7 @@ func FuzzGhostSelection(f *testing.F) {
 			if err != nil {
 				panic(err)
 			}
-			ghosts := s.exchangeGhosts(lt)
+			ghosts := slices.Concat(s.exchangeGhosts(lt)...)
 			lo, hi := s.bounds()
 			var shipped float64
 			for _, g := range ghosts {
@@ -100,6 +103,13 @@ func FuzzGhostSelection(f *testing.F) {
 			if p == 1 && len(ghosts) != 0 {
 				t.Errorf("single rank received %d ghosts", len(ghosts))
 			}
+
+			// The same fuzzed world drives the particle exchange against its
+			// reference: a skewed decomposition, and moves of up to a whole
+			// box side, so that owners change and positions need wrapping.
+			s.geo = sampledGeometry(seed, grid)
+			jitter(s, seed, float64(rcutSel)/255)
+			checkExchange(t, s, "fuzzed decomposition")
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -112,9 +112,11 @@ func TestAssembleSourcesAllocs(t *testing.T) {
 		if err != nil {
 			panic(err)
 		}
-		ghosts := make([]ghost, 64)
-		for i := range ghosts {
-			ghosts[i] = ghost{X: float64(i) / 64, Y: 0.5, Z: 0.5, M: 1}
+		ghosts := [][]ghost{make([]ghost, 24), nil, make([]ghost, 40)}
+		for _, from := range ghosts {
+			for i := range from {
+				from[i] = ghost{X: float64(i) / 64, Y: 0.5, Z: 0.5, M: 1}
+			}
 		}
 		s.assembleSources(ghosts) // warm the buffers
 		allocs := testing.AllocsPerRun(100, func() {

@@ -241,22 +241,35 @@ type Sim struct {
 	pot []float64
 
 	// Ghost-exchange machinery: the LET walk scratch, per-destination staging
-	// buffers, the flattened receive buffer, and the local+ghost source-set
+	// buffers, the per-source receive buffers, and the local+ghost source-set
 	// arrays are all Sim-owned and reused, so the steady-state exchange and
 	// source assembly allocate nothing (see TestAssembleSourcesAllocs).
 	let        tree.LETCollector
 	ghostSend  [][]ghost
-	ghostRecv  []ghost
+	ghostRecv  [][]ghost
 	srcX, srcY []float64
 	srcZ, srcM []float64
+
+	// Domain-decomposition machinery, Sim-owned and reused like the ghost
+	// buffers: the gathered per-rank costs and counts, this rank's sampled
+	// positions (x, y, z triples), the root's sample set, and the particle
+	// exchange's per-destination leavers and per-source arrivals. nTotal is
+	// the run's particle count, which the gathered counts must keep adding
+	// up to.
+	ddCosts            []float64
+	ddCounts           []int
+	ddSamples          []float64
+	ddPts              []vec.V3
+	partSend, partRecv [][]Particle
+	nTotal             int64
 
 	// Ghost traffic and LET composition counters.
 	ctrGhostSent, ctrGhostRecv, ctrGhostBytes *telemetry.Counter
 	ctrLETMono, ctrLETLeaf, ctrLETNodes       *telemetry.Counter
 
 	// pool is the rank's intra-node worker pool (nil ⇒ serial), shared by
-	// the PM solver (injected through pmpar.Config.Pool on every rebuild)
-	// and the integrator loops below. Owned — and closed — by the Sim.
+	// the PM solver (injected through pmpar.Config.Pool) and the integrator
+	// loops below. Owned — and closed — by the Sim.
 	pool *par.Pool
 
 	// Hoisted integrator pool tasks and their per-call state, so kick and
@@ -402,7 +415,10 @@ func New(c *mpi.Comm, cfg Config, parts []Particle) (*Sim, error) {
 	if err := s.exchangeParticles(); err != nil {
 		return nil, err
 	}
-	if err := s.rebuildPM(); err != nil {
+	// That exchange moved most of the particles; a substep's moves a sliver.
+	// Let the staging regrow to the size the run needs.
+	s.partSend, s.partRecv = nil, nil
+	if err := s.buildPM(); err != nil {
 		return nil, err
 	}
 	return s, nil
@@ -430,8 +446,7 @@ func newSim(c *mpi.Comm, cfg Config) *Sim {
 		// deterministic and resume-stable.
 		pmComm: c.Dup(),
 	}
-	// One pool per rank, shared by the PM solver (injected on every
-	// rebuild) and the integrator loops. par.New returns nil for ≤ 1
+	// One pool per rank, shared by the PM solver and the integrator loops. par.New returns nil for ≤ 1
 	// worker, and a nil pool runs inline, so the serial default costs
 	// nothing. Resolve caps Auto by the rank count since the
 	// ranks-as-goroutines emulation shares one process.
@@ -463,6 +478,8 @@ func newSim(c *mpi.Comm, cfg Config) *Sim {
 	return s
 }
 
+// setParticles installs parts as the local particles, in order, and counts
+// the run's particles (collective).
 func (s *Sim) setParticles(parts []Particle) {
 	n := len(parts)
 	s.x = make([]float64, n)
@@ -479,28 +496,31 @@ func (s *Sim) setParticles(parts []Particle) {
 		s.m[i], s.id[i] = p.M, p.ID
 	}
 	s.resizeAccels()
+	s.nTotal = mpi.Allreduce(s.comm, []int64{int64(n)}, mpi.Sum[int64])[0]
 }
 
+// resizeAccels gives the six acceleration arrays one zero per local particle,
+// within their capacity.
 func (s *Sim) resizeAccels() {
 	n := len(s.x)
-	s.apx = make([]float64, n)
-	s.apy = make([]float64, n)
-	s.apz = make([]float64, n)
-	s.asx = make([]float64, n)
-	s.asy = make([]float64, n)
-	s.asz = make([]float64, n)
+	for _, a := range [...]*[]float64{&s.apx, &s.apy, &s.apz, &s.asx, &s.asy, &s.asz} {
+		*a = growFloats(*a, n)
+		clear(*a)
+	}
 }
 
-func (s *Sim) rebuildPM() error {
+// buildPM creates the PM solver on the current decomposition. It runs once,
+// in New or Resume; from then on the solver follows the decomposition through
+// Redecompose, which is bit-identical to building anew.
+func (s *Sim) buildPM() error {
 	lo, hi := s.geo.Bounds(s.comm.Rank())
 	pm, err := pmpar.New(s.pmComm, pmpar.Config{
 		N: s.cfg.NMesh, L: s.cfg.L, G: s.cfg.G, Rcut: s.cfg.Rcut,
 		NFFT: s.cfg.NFFT, Relay: s.cfg.Relay, Groups: s.cfg.Groups,
 		Pencil: s.cfg.Pencil, PY: s.cfg.PY, PZ: s.cfg.PZ,
 		// Workers is deliberately left zero: the Sim already resolved the
-		// knob into its per-rank pool, and injecting that (possibly nil ⇒
-		// serial) pool keeps rebuilds — one per DD substep — from spawning
-		// fresh worker goroutines.
+		// knob into its per-rank pool and injects that (possibly nil ⇒
+		// serial) pool.
 		Pool: s.pool, Recorder: s.rec,
 	}, lo, hi)
 	if err != nil {

@@ -27,10 +27,9 @@ func (s *Sim) buildSourceTrees() (src, tgt *tree.Tree, nGhosts int) {
 	}
 	sp.End()
 	ghosts := s.exchangeGhosts(lt)
-	nGhosts = len(ghosts)
 
 	sp = s.rec.Start(telemetry.PhasePPLocalTree)
-	s.assembleSources(ghosts)
+	nGhosts = s.assembleSources(ghosts)
 	sp.End()
 
 	sp = s.rec.Start(telemetry.PhasePPTreeConstr)
@@ -45,13 +44,17 @@ func (s *Sim) buildSourceTrees() (src, tgt *tree.Tree, nGhosts int) {
 }
 
 // assembleSources fills the Sim-owned source buffers with the local
-// particles followed by the received ghosts. The buffers are reused across
-// calls — zero steady-state allocations, asserted by
-// TestAssembleSourcesAllocs — and are only read between here and the source
-// tree.Build (which copies into tree order), so reuse is safe.
-func (s *Sim) assembleSources(ghosts []ghost) {
+// particles followed by the received ghosts, sender by sender, and returns
+// the ghost count. The buffers are reused across calls — zero steady-state
+// allocations, asserted by TestAssembleSourcesAllocs — and are only read
+// between here and the source tree.Build (which copies into tree order), so
+// reuse is safe.
+func (s *Sim) assembleSources(ghosts [][]ghost) (nGhosts int) {
 	n := len(s.x)
-	tot := n + len(ghosts)
+	for _, from := range ghosts {
+		nGhosts += len(from)
+	}
+	tot := n + nGhosts
 	s.srcX = growFloats(s.srcX, tot)
 	s.srcY = growFloats(s.srcY, tot)
 	s.srcZ = growFloats(s.srcZ, tot)
@@ -60,16 +63,22 @@ func (s *Sim) assembleSources(ghosts []ghost) {
 	copy(s.srcY, s.y)
 	copy(s.srcZ, s.z)
 	copy(s.srcM, s.m)
-	for i, g := range ghosts {
-		s.srcX[n+i], s.srcY[n+i], s.srcZ[n+i], s.srcM[n+i] = g.X, g.Y, g.Z, g.M
+	i := n
+	for _, from := range ghosts {
+		for _, g := range from {
+			s.srcX[i], s.srcY[i], s.srcZ[i], s.srcM[i] = g.X, g.Y, g.Z, g.M
+			i++
+		}
 	}
+	return nGhosts
 }
 
-// growFloats resizes b to length n, reallocating only when capacity is
-// insufficient.
+// growFloats resizes b to length n within its capacity; when that is short it
+// reallocates with headroom, because the counts it follows (local particles,
+// ghosts) fluctuate from substep to substep.
 func growFloats(b []float64, n int) []float64 {
 	if cap(b) < n {
-		return make([]float64, n)
+		return make([]float64, n, n+n/8)
 	}
 	return b[:n]
 }

@@ -49,7 +49,7 @@ func (s *Sim) State() State {
 // decomposition, smoothing history, sampling-RNG state and cost inputs are
 // restored, so with Config.DeterministicCost a resumed run continues
 // bit-identically to the run that wrote the state. Collective over c (the PM
-// solver rebuild is collective); the rank count must match the one that
+// solver construction is collective); the rank count must match the one that
 // wrote the state.
 func Resume(c *mpi.Comm, cfg Config, st State) (*Sim, error) {
 	if err := cfg.setDefaults(c.Size()); err != nil {
@@ -77,7 +77,7 @@ func Resume(c *mpi.Comm, cfg Config, st State) (*Sim, error) {
 	s.lastCost = st.LastCost
 	s.lastPMCost = st.LastPMCost
 	s.setParticles(st.Particles)
-	if err := s.rebuildPM(); err != nil {
+	if err := s.buildPM(); err != nil {
 		return nil, err
 	}
 	return s, nil

@@ -82,15 +82,17 @@ type buildScratch struct {
 	oct            []int8
 }
 
-// grow sizes every scratch buffer to at least count elements.
+// grow sizes every scratch buffer to count elements, reallocating with
+// headroom: a retained scratch follows a particle count that fluctuates.
 func (sc *buildScratch) grow(count int) {
 	if cap(sc.tx) < count {
-		sc.tx = make([]float64, count)
-		sc.ty = make([]float64, count)
-		sc.tz = make([]float64, count)
-		sc.tm = make([]float64, count)
-		sc.tp = make([]int32, count)
-		sc.oct = make([]int8, count)
+		c := count + count/8
+		sc.tx = make([]float64, count, c)
+		sc.ty = make([]float64, count, c)
+		sc.tz = make([]float64, count, c)
+		sc.tm = make([]float64, count, c)
+		sc.tp = make([]int32, count, c)
+		sc.oct = make([]int8, count, c)
 	}
 	sc.tx = sc.tx[:count]
 	sc.ty = sc.ty[:count]
@@ -838,7 +840,7 @@ func resize32(s []float32, n int) []float32 {
 // element.
 func growInt32(s []int32, n int) []int32 {
 	if cap(s) < n {
-		s = make([]int32, n)
+		s = make([]int32, n, n+n/8)
 	}
 	return s[:n]
 }
